@@ -47,6 +47,10 @@
 //! ties), so same shard contents + same seed ⇒ same codebooks, same
 //! codes, same rankings, on every run and thread interleaving — the
 //! property every epoch rebuild and every persistence reload relies on.
+//! Training scores one row per SIMD lane, but each lane runs the
+//! row-at-a-time scan's exact float program (same operands, same order,
+//! same strict `<`), so the trained arrays match that scan bit for bit
+//! (DESIGN.md §6h; pinned by an oracle test against the scalar k-means).
 //!
 //! # Example
 //!
@@ -78,9 +82,15 @@ use duo_video::VideoId;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Rounds of Lloyd iteration for the IVF coarse quantizer. Assignment
-/// converges long before this on shard-sized galleries; the fixed bound
-/// keeps index builds predictable.
+/// Rounds of Lloyd iteration for every k-means an index trains: the
+/// IVF coarse quantizer and each PQ subspace codebook. A run stops early
+/// once an assignment repeats, which well-separated data reaches in a
+/// few rounds, but the cap often binds: on 3,000 × 128 shards of
+/// jittered gallery features (the end-to-end benchmark's
+/// `gallery_churn` gallery) the 8-list coarse quantizer and every
+/// 16-codeword PQ subspace ran all 8 rounds. The fixed bound keeps index
+/// builds predictable; because a capped run's assignment lags its last
+/// centroid update, PQ encoding is a separate final pass.
 const KMEANS_ROUNDS: usize = 8;
 
 /// Every `AUDIT_PERIOD`-th IVF query on a shard is audited: the exact
@@ -692,9 +702,10 @@ impl ShardIndex {
 
     /// Builds an index directly from flattened SoA storage: `ids.len()`
     /// rows of `dim` features each, row `r` at `feats[r*dim..(r+1)*dim]`.
-    /// This is the epoch-rebuild entry point — a mutation staging buffer
-    /// (one `memcpy` of the previous generation's matrix) becomes the
-    /// next generation without materializing a tensor per row.
+    /// This is the epoch-rebuild entry point — a touched shard's staged
+    /// rows (written once from the previous generation's matrix and the
+    /// batch) become the next generation without materializing a tensor
+    /// per row.
     ///
     /// # Errors
     ///
@@ -722,28 +733,21 @@ impl ShardIndex {
                 )));
             }
         }
-        let (ivf, coarse_assign) = match mode.coarse_params() {
+        let (ivf, coarse_assign, packed) = match mode.coarse_params() {
             Some((nlist, nprobe)) if !ids.is_empty() => {
-                let (ivf, assign) = train_ivf(&feats, dim, ids.len(), nlist, nprobe, seed);
-                (Some(ivf), assign)
+                let packed = LanePanels::pack(&feats, ids.len(), dim);
+                let (ivf, assign) = train_ivf(&packed, nlist, nprobe, seed);
+                (Some(ivf), assign, Some(packed))
             }
-            _ => (None, Vec::new()),
+            _ => (None, Vec::new(), None),
         };
-        let (codec, codes) = match (mode, &ivf) {
-            (IndexMode::Pq { m_sub, nbits, rerank, .. }, Some(ivf)) => {
-                let (pq, codes) = train_pq(
-                    &feats,
-                    dim,
-                    &ivf.centroids,
-                    &coarse_assign,
-                    m_sub,
-                    nbits,
-                    rerank,
-                    seed,
-                );
+        let (codec, codes) = match (mode, &ivf, &packed) {
+            (IndexMode::Pq { m_sub, nbits, rerank, .. }, Some(ivf), Some(packed)) => {
+                let (pq, codes) =
+                    train_pq(packed, &ivf.centroids, &coarse_assign, m_sub, nbits, rerank, seed);
                 (Some(Codec::Pq(pq)), codes)
             }
-            (IndexMode::Sq8 { rerank, .. }, Some(ivf)) => {
+            (IndexMode::Sq8 { rerank, .. }, Some(ivf), _) => {
                 let (sq, codes) =
                     train_sq8(&feats, dim, &ivf.centroids, &coarse_assign, rerank);
                 (Some(Codec::Sq8(sq)), codes)
@@ -1300,52 +1304,157 @@ pub(crate) struct IndexParts<'a> {
     pub codes: &'a [u8],
 }
 
-/// Seeded Lloyd k-means over a flattened row-major matrix. Every step is
-/// a pure function of `(data, seed)`: seeded sampling for the initial
-/// centroids, sequential assignment with lower-index tie-breaks, and
-/// fixed-order f64 mean recomputation (empty clusters keep their
-/// previous centroid). Returns the trained `k × dim` centroid matrix and
-/// the final per-row assignment. The IVF coarse quantizer and every PQ
-/// subspace codebook train through this one function.
-fn kmeans(data: &[f32], dim: usize, rows: usize, k: usize, seed: u64) -> (Vec<f32>, Vec<u32>) {
+/// Rows the training kernel scores together, one per SIMD lane: four
+/// 512-bit vectors of `f32`. At this length the compiler vectorizes the
+/// kernel's lane loops as loops, compare-and-select included. A
+/// one-vector (16-lane) array is fully unrolled first, and small edits
+/// to the kernel then left its compare-and-select scalar and several
+/// times slower.
+const TRAIN_LANES: usize = 64;
+
+/// A row-major matrix repacked for the training kernel: rows grouped in
+/// panels of [`TRAIN_LANES`], each panel stored column-major
+/// (`dim × TRAIN_LANES`), the last panel zero-padded. Element `(row, j)`
+/// sits at `data[(row / TRAIN_LANES * dim + j) * TRAIN_LANES + row % TRAIN_LANES]`,
+/// so one contiguous load fetches element `j` of a whole panel's rows.
+struct LanePanels {
+    rows: usize,
+    dim: usize,
+    data: Vec<f32>,
+}
+
+impl LanePanels {
+    /// Packs the `rows × dim` row-major matrix `src`.
+    fn pack(src: &[f32], rows: usize, dim: usize) -> Self {
+        let mut data = vec![0.0f32; rows.div_ceil(TRAIN_LANES) * dim * TRAIN_LANES];
+        for row in 0..rows {
+            let (panel, lane) = (row / TRAIN_LANES, row % TRAIN_LANES);
+            let out = &mut data[panel * dim * TRAIN_LANES..][..dim * TRAIN_LANES];
+            let x = &src[row * dim..(row + 1) * dim];
+            for (o, &v) in out.iter_mut().skip(lane).step_by(TRAIN_LANES).zip(x) {
+                *o = v;
+            }
+        }
+        LanePanels { rows, dim, data }
+    }
+
+    /// Panel `p`: `dim` columns of [`TRAIN_LANES`] values each.
+    fn panel(&self, p: usize) -> &[f32] {
+        &self.data[p * self.dim * TRAIN_LANES..(p + 1) * self.dim * TRAIN_LANES]
+    }
+
+    /// Element `(row, j)`.
+    fn get(&self, row: usize, j: usize) -> f32 {
+        self.panel(row / TRAIN_LANES)[j * TRAIN_LANES + row % TRAIN_LANES]
+    }
+
+    /// The coarse residuals `x − centroid[assign[row]]`, packed the same
+    /// way: the row-major subtraction, element for element.
+    fn residuals(&self, centroids: &[f32], assign: &[u32]) -> Self {
+        let dim = self.dim;
+        let mut data = self.data.clone();
+        for (p, rows) in assign.chunks(TRAIN_LANES).enumerate() {
+            let panel = &mut data[p * dim * TRAIN_LANES..][..dim * TRAIN_LANES];
+            for (lane, &c) in rows.iter().enumerate() {
+                let cent = &centroids[c as usize * dim..][..dim];
+                for (x, &cj) in panel.iter_mut().skip(lane).step_by(TRAIN_LANES).zip(cent) {
+                    *x -= cj;
+                }
+            }
+        }
+        LanePanels { rows: self.rows, dim, data }
+    }
+
+    /// Columns `cols` of every row, packed as their own matrix.
+    fn columns(&self, cols: std::ops::Range<usize>) -> Self {
+        let width = cols.len() * TRAIN_LANES;
+        let panels = self.rows.div_ceil(TRAIN_LANES);
+        let mut data = Vec::with_capacity(panels * width);
+        for p in 0..panels {
+            data.extend_from_slice(&self.panel(p)[cols.start * TRAIN_LANES..][..width]);
+        }
+        LanePanels { rows: self.rows, dim: cols.len(), data }
+    }
+
+    /// The training kernel: the nearest of the `k` row-major `centroids`
+    /// for every row, written to `assign`; returns whether any entry
+    /// changed. Each lane is one row and runs the scalar loop's float
+    /// program: centroids in ascending order, each scored by summing
+    /// `(c − x)²` in increasing element order from `0.0`, kept only on a
+    /// strict `<` — so the lowest index wins ties and every assignment is
+    /// bit-identical to a row-at-a-time scan.
+    fn assign_nearest(&self, centroids: &[f32], k: usize, assign: &mut [u32]) -> bool {
+        let dim = self.dim;
+        let mut changed = false;
+        for (p, out) in assign.chunks_mut(TRAIN_LANES).enumerate() {
+            let panel = self.panel(p);
+            let mut best = [0u32; TRAIN_LANES];
+            let mut best_d = [f32::INFINITY; TRAIN_LANES];
+            for c in 0..k {
+                let mut acc = [0.0f32; TRAIN_LANES];
+                for (&cj, xs) in
+                    centroids[c * dim..(c + 1) * dim].iter().zip(panel.chunks_exact(TRAIN_LANES))
+                {
+                    for (a, &x) in acc.iter_mut().zip(xs) {
+                        let d = cj - x;
+                        *a += d * d;
+                    }
+                }
+                for ((bd, b), &a) in best_d.iter_mut().zip(&mut best).zip(&acc) {
+                    if a < *bd {
+                        *bd = a;
+                        *b = c as u32;
+                    }
+                }
+            }
+            for (o, &b) in out.iter_mut().zip(&best) {
+                changed |= *o != b;
+                *o = b;
+            }
+        }
+        changed
+    }
+}
+
+/// Seeded Lloyd k-means over a packed matrix. Every step is a pure
+/// function of `(data, seed)`: seeded sampling for the initial
+/// centroids, assignment through the lane kernel
+/// ([`LanePanels::assign_nearest`], lower-index tie-breaks), and f64
+/// mean recomputation summing each cluster's rows in ascending row order
+/// (empty clusters keep their previous centroid). Returns the trained
+/// `k × dim` centroid matrix and the final per-row assignment. The IVF
+/// coarse quantizer and every PQ subspace codebook train through this
+/// one function.
+fn kmeans(data: &LanePanels, k: usize, seed: u64) -> (Vec<f32>, Vec<u32>) {
+    let (rows, dim) = (data.rows, data.dim);
     let k = k.min(rows);
     let mut rng = Rng64::new(seed);
     let mut centroids = Vec::with_capacity(k * dim);
     for row in rng.sample_indices(rows, k) {
-        centroids.extend_from_slice(&data[row * dim..(row + 1) * dim]);
+        centroids.extend((0..dim).map(|j| data.get(row, j)));
     }
     let mut assign = vec![0u32; rows];
+    let mut sums = vec![0.0f64; k * dim];
+    let mut counts = vec![0u64; k];
     for round in 0..KMEANS_ROUNDS {
-        // Assignment: nearest centroid, first (lowest-index) winner on ties.
-        let mut changed = false;
-        for row in 0..rows {
-            let rf = &data[row * dim..(row + 1) * dim];
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for c in 0..k {
-                let d = sq_distance_row(&centroids[c * dim..(c + 1) * dim], rf);
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            if assign[row] != best as u32 {
-                assign[row] = best as u32;
-                changed = true;
-            }
-        }
+        let changed = data.assign_nearest(&centroids, k, &mut assign);
         if !changed && round > 0 {
             break;
         }
-        // Update: per-cluster mean in f64, sequential row order. Empty
-        // clusters keep their previous centroid.
-        let mut sums = vec![0.0f64; k * dim];
-        let mut counts = vec![0u64; k];
-        for row in 0..rows {
-            let c = assign[row] as usize;
-            counts[c] += 1;
-            for j in 0..dim {
-                sums[c * dim + j] += f64::from(data[row * dim + j]);
+        // Update: per-cluster mean in f64. Panels in order, lanes in
+        // order, so each (cluster, element) sum adds its rows in
+        // ascending row order. Empty clusters keep their previous
+        // centroid.
+        sums.fill(0.0);
+        counts.fill(0);
+        for (p, rows) in assign.chunks(TRAIN_LANES).enumerate() {
+            for (j, column) in data.panel(p).chunks_exact(TRAIN_LANES).enumerate() {
+                for (&c, &x) in rows.iter().zip(column) {
+                    sums[c as usize * dim + j] += f64::from(x);
+                }
+            }
+            for &c in rows {
+                counts[c as usize] += 1;
             }
         }
         for c in 0..k {
@@ -1362,16 +1471,9 @@ fn kmeans(data: &[f32], dim: usize, rows: usize, k: usize, seed: u64) -> (Vec<f3
 /// Trains the IVF coarse quantizer: seeded k-means, inverted lists in
 /// ascending row order. Returns the structure plus the flat per-row
 /// assignment (kept for residual decoding and persistence).
-fn train_ivf(
-    feats: &[f32],
-    dim: usize,
-    rows: usize,
-    nlist: usize,
-    nprobe: usize,
-    seed: u64,
-) -> (Ivf, Vec<u32>) {
-    let (centroids, assign) = kmeans(feats, dim, rows, nlist, seed);
-    let k = nlist.min(rows);
+fn train_ivf(data: &LanePanels, nlist: usize, nprobe: usize, seed: u64) -> (Ivf, Vec<u32>) {
+    let (centroids, assign) = kmeans(data, nlist, seed);
+    let k = nlist.min(data.rows);
     let mut lists: Vec<Vec<u32>> = vec![Vec::new(); k];
     for (row, &c) in assign.iter().enumerate() {
         lists[c as usize].push(row as u32);
@@ -1394,16 +1496,14 @@ fn coarse_residuals(feats: &[f32], dim: usize, centroids: &[f32], assign: &[u32]
     residuals
 }
 
-/// Trains the product quantizer over coarse residuals and encodes every
-/// row. Subspace `s` trains its own seeded k-means
-/// ([`pq_subspace_seed`]) on the rows' `dsub`-dim residual slices;
-/// encoding is a final explicit nearest-codeword pass (lowest index on
-/// ties) against the trained codebook, so codes are a pure function of
-/// `(feats, seed)`.
-#[allow(clippy::too_many_arguments)]
+/// Trains the product quantizer over the coarse residuals of the packed
+/// shard matrix `data` and encodes every row. Subspace `s` trains its
+/// own seeded k-means ([`pq_subspace_seed`]) on the rows' `dsub`-dim
+/// residual slices; encoding is a final explicit nearest-codeword pass
+/// (lowest index on ties) against the trained codebook, so codes are a
+/// pure function of `(rows, seed)`.
 fn train_pq(
-    feats: &[f32],
-    dim: usize,
+    data: &LanePanels,
     centroids: &[f32],
     assign: &[u32],
     m_sub: usize,
@@ -1412,32 +1512,20 @@ fn train_pq(
     seed: u64,
 ) -> (PqCodec, Vec<u8>) {
     let rows = assign.len();
-    let dsub = dim / m_sub;
+    let dsub = data.dim / m_sub;
     let ksub = (1usize << nbits).min(rows);
-    let residuals = coarse_residuals(feats, dim, centroids, assign);
+    let residuals = data.residuals(centroids, assign);
     let mut codebooks = vec![0.0f32; m_sub * ksub * dsub];
     let mut codes = vec![0u8; rows * m_sub];
-    let mut sub_data = vec![0.0f32; rows * dsub];
+    let mut nearest = vec![0u32; rows];
     for s in 0..m_sub {
-        for row in 0..rows {
-            sub_data[row * dsub..(row + 1) * dsub]
-                .copy_from_slice(&residuals[row * dim + s * dsub..row * dim + (s + 1) * dsub]);
-        }
-        let (book, _) = kmeans(&sub_data, dsub, rows, ksub, pq_subspace_seed(seed, s));
+        let sub = residuals.columns(s * dsub..(s + 1) * dsub);
+        let (book, _) = kmeans(&sub, ksub, pq_subspace_seed(seed, s));
         // Encode: explicit nearest-codeword pass against the *final*
         // codebook (k-means assignment may lag one update round).
-        for row in 0..rows {
-            let rf = &sub_data[row * dsub..(row + 1) * dsub];
-            let mut best = 0usize;
-            let mut best_d = f32::INFINITY;
-            for k in 0..ksub {
-                let d = sq_distance_row(&book[k * dsub..(k + 1) * dsub], rf);
-                if d < best_d {
-                    best_d = d;
-                    best = k;
-                }
-            }
-            codes[row * m_sub + s] = best as u8;
+        sub.assign_nearest(&book, ksub, &mut nearest);
+        for (code, &k) in codes.iter_mut().skip(s).step_by(m_sub).zip(&nearest) {
+            *code = k as u8;
         }
         codebooks[s * ksub * dsub..(s + 1) * ksub * dsub].copy_from_slice(&book);
     }
@@ -1813,5 +1901,208 @@ mod tests {
             }
             assert_eq!(back.code_bytes(), built.code_bytes());
         }
+    }
+
+    /// The seed's scalar training, kept verbatim: the oracle the lane
+    /// kernel must match bit for bit.
+    mod oracle {
+        use super::super::{
+            coarse_residuals, pq_subspace_seed, sq_distance_row, PqCodec, KMEANS_ROUNDS,
+        };
+        use duo_tensor::Rng64;
+
+        /// Seeded Lloyd k-means over a flattened row-major matrix. Every step is
+        /// a pure function of `(data, seed)`: seeded sampling for the initial
+        /// centroids, sequential assignment with lower-index tie-breaks, and
+        /// fixed-order f64 mean recomputation (empty clusters keep their
+        /// previous centroid). Returns the trained `k × dim` centroid matrix and
+        /// the final per-row assignment. The IVF coarse quantizer and every PQ
+        /// subspace codebook train through this one function.
+        pub(super) fn kmeans(
+            data: &[f32],
+            dim: usize,
+            rows: usize,
+            k: usize,
+            seed: u64,
+        ) -> (Vec<f32>, Vec<u32>) {
+            let k = k.min(rows);
+            let mut rng = Rng64::new(seed);
+            let mut centroids = Vec::with_capacity(k * dim);
+            for row in rng.sample_indices(rows, k) {
+                centroids.extend_from_slice(&data[row * dim..(row + 1) * dim]);
+            }
+            let mut assign = vec![0u32; rows];
+            for round in 0..KMEANS_ROUNDS {
+                // Assignment: nearest centroid, first (lowest-index) winner on ties.
+                let mut changed = false;
+                for row in 0..rows {
+                    let rf = &data[row * dim..(row + 1) * dim];
+                    let mut best = 0usize;
+                    let mut best_d = f32::INFINITY;
+                    for c in 0..k {
+                        let d = sq_distance_row(&centroids[c * dim..(c + 1) * dim], rf);
+                        if d < best_d {
+                            best_d = d;
+                            best = c;
+                        }
+                    }
+                    if assign[row] != best as u32 {
+                        assign[row] = best as u32;
+                        changed = true;
+                    }
+                }
+                if !changed && round > 0 {
+                    break;
+                }
+                // Update: per-cluster mean in f64, sequential row order. Empty
+                // clusters keep their previous centroid.
+                let mut sums = vec![0.0f64; k * dim];
+                let mut counts = vec![0u64; k];
+                for row in 0..rows {
+                    let c = assign[row] as usize;
+                    counts[c] += 1;
+                    for j in 0..dim {
+                        sums[c * dim + j] += f64::from(data[row * dim + j]);
+                    }
+                }
+                for c in 0..k {
+                    if counts[c] > 0 {
+                        for j in 0..dim {
+                            centroids[c * dim + j] = (sums[c * dim + j] / counts[c] as f64) as f32;
+                        }
+                    }
+                }
+            }
+            (centroids, assign)
+        }
+
+        /// Trains the product quantizer over coarse residuals and encodes every
+        /// row. Subspace `s` trains its own seeded k-means
+        /// ([`pq_subspace_seed`]) on the rows' `dsub`-dim residual slices;
+        /// encoding is a final explicit nearest-codeword pass (lowest index on
+        /// ties) against the trained codebook, so codes are a pure function of
+        /// `(feats, seed)`.
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn train_pq(
+            feats: &[f32],
+            dim: usize,
+            centroids: &[f32],
+            assign: &[u32],
+            m_sub: usize,
+            nbits: u32,
+            rerank: usize,
+            seed: u64,
+        ) -> (PqCodec, Vec<u8>) {
+            let rows = assign.len();
+            let dsub = dim / m_sub;
+            let ksub = (1usize << nbits).min(rows);
+            let residuals = coarse_residuals(feats, dim, centroids, assign);
+            let mut codebooks = vec![0.0f32; m_sub * ksub * dsub];
+            let mut codes = vec![0u8; rows * m_sub];
+            let mut sub_data = vec![0.0f32; rows * dsub];
+            for s in 0..m_sub {
+                for row in 0..rows {
+                    sub_data[row * dsub..(row + 1) * dsub].copy_from_slice(
+                        &residuals[row * dim + s * dsub..row * dim + (s + 1) * dsub],
+                    );
+                }
+                let (book, _) = kmeans(&sub_data, dsub, rows, ksub, pq_subspace_seed(seed, s));
+                // Encode: explicit nearest-codeword pass against the *final*
+                // codebook (k-means assignment may lag one update round).
+                for row in 0..rows {
+                    let rf = &sub_data[row * dsub..(row + 1) * dsub];
+                    let mut best = 0usize;
+                    let mut best_d = f32::INFINITY;
+                    for k in 0..ksub {
+                        let d = sq_distance_row(&book[k * dsub..(k + 1) * dsub], rf);
+                        if d < best_d {
+                            best_d = d;
+                            best = k;
+                        }
+                    }
+                    codes[row * m_sub + s] = best as u8;
+                }
+                codebooks[s * ksub * dsub..(s + 1) * ksub * dsub].copy_from_slice(&book);
+            }
+            (PqCodec { m_sub, ksub, dsub, codebooks, rerank }, codes)
+        }
+    }
+
+    /// Row values for the oracle sweep: tight clusters (the coarse
+    /// quantizer settles early), a small integer grid full of exact
+    /// distance ties and duplicate rows (the tie rule decides), or
+    /// magnitudes spread over 2^±30, whose f64 cluster sums round, so
+    /// their summation order shows in the centroids.
+    fn sweep_rows(rng: &mut Rng64, rows: usize, dim: usize) -> Vec<f32> {
+        match rng.below(3) {
+            0 => {
+                let centres: Vec<f32> = (0..4 * dim).map(|_| rng.uniform() * 8.0).collect();
+                (0..rows)
+                    .flat_map(|_| {
+                        let c = rng.below(4);
+                        (0..dim)
+                            .map(|j| centres[c * dim + j] + 0.1 * rng.uniform())
+                            .collect::<Vec<_>>()
+                    })
+                    .collect()
+            }
+            1 => (0..rows * dim).map(|_| rng.below(3) as f32 - 1.0).collect(),
+            _ => (0..rows * dim)
+                .map(|_| (rng.uniform() - 0.5) * 2f32.powi(rng.below(61) as i32 - 30))
+                .collect(),
+        }
+    }
+
+    /// Whether `assign` is already the nearest-centroid assignment of
+    /// `centroids`: true when the run ended at a fixed point (where Lloyd
+    /// stops on its own), false when [`KMEANS_ROUNDS`] cut it off while
+    /// assignments were still moving.
+    fn settled(data: &LanePanels, centroids: &[f32], assign: &[u32]) -> bool {
+        let mut again = assign.to_vec();
+        !data.assign_nearest(centroids, centroids.len() / data.dim, &mut again)
+    }
+
+    #[test]
+    fn lane_training_is_bit_identical_to_the_scalar_oracle() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = Rng64::new(0x0AC1E);
+        let (mut coarse_settled, mut subspace_capped) = (0, 0);
+        for case in 0..160u64 {
+            // Row counts include 1, counts off the lane width, and counts
+            // below nlist / 2^nbits.
+            let rows = match case % 4 {
+                0 => 1 + rng.below(TRAIN_LANES * 2),
+                _ => 1 + rng.below(600),
+            };
+            let dsub = 1 << rng.below(5);
+            let m_sub = (8usize.div_ceil(dsub) + rng.below(128 / dsub)).min(128 / dsub);
+            let dim = m_sub * dsub;
+            let nlist = 1 + rng.below(16);
+            let nbits = 1 + rng.below(8) as u32;
+            let seed = rng.below(1 << 30) as u64;
+            let feats = sweep_rows(&mut rng, rows, dim);
+            let what =
+                format!("case {case}: {rows}x{dim} nlist {nlist} m_sub {m_sub} nbits {nbits}");
+
+            let (want_c, want_a) = oracle::kmeans(&feats, dim, rows, nlist, seed);
+            let packed = LanePanels::pack(&feats, rows, dim);
+            let (got_c, got_a) = kmeans(&packed, nlist, seed);
+            assert_eq!(bits(&got_c), bits(&want_c), "coarse centroids, {what}");
+            assert_eq!(got_a, want_a, "coarse assignment, {what}");
+            coarse_settled += usize::from(settled(&packed, &got_c, &got_a));
+
+            let (want_pq, want_codes) =
+                oracle::train_pq(&feats, dim, &want_c, &want_a, m_sub, nbits, 0, seed);
+            let (got_pq, got_codes) = train_pq(&packed, &got_c, &got_a, m_sub, nbits, 0, seed);
+            assert_eq!(bits(&got_pq.codebooks), bits(&want_pq.codebooks), "codebooks, {what}");
+            assert_eq!(got_codes, want_codes, "codes, {what}");
+
+            let sub = packed.residuals(&got_c, &got_a).columns(0..dsub);
+            let ksub = (1usize << nbits).min(rows);
+            let (book, assign) = kmeans(&sub, ksub, pq_subspace_seed(seed, 0));
+            subspace_capped += usize::from(!settled(&sub, &book, &assign));
+        }
+        assert!(coarse_settled > 0, "no coarse run reached a fixed point");
+        assert!(subspace_capped > 0, "no subspace run was cut off by the round cap");
     }
 }

@@ -53,6 +53,12 @@ const V3_ALIGN: usize = 64;
 /// features, centroids, coarse assignment, codec tables, codes.
 const V3_SECTIONS: usize = 6;
 
+/// Entries, and floats per entry, the `DUOINDX1/2` reader reserves
+/// before the stream has delivered them. The counts come from an
+/// untrusted header; past this bound the vectors grow as data arrives,
+/// so a short file cannot make the reader allocate for a body it lacks.
+const READ_RESERVE: usize = 4096;
+
 /// Serializes an [`IndexMode`] as the V2/V3 shared tag + u64 parameter
 /// run: `exact` has no parameters, `ivf` carries `nlist, nprobe`, `pq`
 /// carries `nlist, nprobe, m_sub, nbits, rerank`, `sq8` carries
@@ -295,7 +301,7 @@ impl GalleryIndex {
         if count > 100_000_000 {
             return Err(RetrievalError::BadConfig(format!("implausible entry count {count}")));
         }
-        let mut entries = Vec::with_capacity(count);
+        let mut entries = Vec::with_capacity(count.min(READ_RESERVE));
         for _ in 0..count {
             r.read_exact(&mut u32buf).map_err(io)?;
             let class = u32::from_le_bytes(u32buf);
@@ -306,7 +312,7 @@ impl GalleryIndex {
             if dim > 1_000_000 {
                 return Err(RetrievalError::BadConfig(format!("implausible feature dim {dim}")));
             }
-            let mut data = Vec::with_capacity(dim);
+            let mut data = Vec::with_capacity(dim.min(READ_RESERVE));
             let mut f32buf = [0u8; 4];
             for _ in 0..dim {
                 r.read_exact(&mut f32buf).map_err(io)?;
@@ -879,6 +885,25 @@ mod tests {
             RetrievalConfig::default(),
         )
         .is_err());
+    }
+
+    #[test]
+    fn oversized_header_counts_with_an_empty_body_are_errors() {
+        // DUOINDX2, exact mode, then the entry count.
+        let header = |count: u64| {
+            let mut bytes = MAGIC_V2.to_vec();
+            bytes.push(MODE_EXACT);
+            bytes.extend_from_slice(&count.to_le_bytes());
+            bytes
+        };
+        assert!(GalleryIndex::read(header(100_000_000).as_slice()).is_err());
+
+        // One entry whose header claims a million floats, none present.
+        let mut one = header(1);
+        one.extend_from_slice(&7u32.to_le_bytes());
+        one.extend_from_slice(&0u32.to_le_bytes());
+        one.extend_from_slice(&1_000_000u64.to_le_bytes());
+        assert!(GalleryIndex::read(one.as_slice()).is_err());
     }
 
     #[test]

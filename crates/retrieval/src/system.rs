@@ -65,38 +65,188 @@ pub struct RetrievalSystem {
     mutation: Mutex<MutationStats>,
 }
 
-/// A writer's off-to-the-side copy of the gallery: per-shard SoA
-/// buffers mutated freely before the dirty shards are rebuilt and
-/// published as one epoch.
-struct StagedGallery {
+/// A writer transaction's view of the gallery's next generation: every
+/// shard's current generation, pinned for the whole transaction, plus
+/// the edits the transaction made to the shards it touched. Nothing is
+/// copied while a batch applies — edits borrow the batch's features and
+/// the pinned rows — and at publish each touched shard's rows are
+/// written once, into a buffer of exactly their size
+/// ([`Edits::materialize`]). Untouched shards are neither copied nor
+/// rebuilt, so a publish costs what the batch changes.
+struct StagedGallery<'a> {
+    bases: &'a [Arc<ShardIndex>],
     dim: usize,
-    shards: Vec<StagedShard>,
+    edits: Vec<Option<Edits<'a>>>,
 }
 
-struct StagedShard {
-    ids: Vec<VideoId>,
-    feats: Vec<f32>,
-    dirty: bool,
+/// One touched shard's edits. Rows are numbered as before compaction:
+/// the base generation's rows first, then the appended ones. A delete
+/// only marks its row dead, so numbers stay put while the batch
+/// applies; the compaction at publish then leaves the order a
+/// sequential `Vec::remove`/`push` would have left.
+#[derive(Default)]
+struct Edits<'a> {
+    dead: Vec<usize>,
+    /// Feature overwrites in batch order; the last write to a row wins.
+    writes: Vec<(usize, &'a [f32])>,
+    appended: Vec<(VideoId, &'a [f32])>,
 }
 
-impl StagedGallery {
-    /// Locates an id: shards in node order, rows in row order.
-    fn find(&self, id: VideoId) -> Option<(usize, usize)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .find_map(|(s, shard)| shard.ids.iter().position(|&x| x == id).map(|r| (s, r)))
+impl Edits<'_> {
+    /// The shard's next rows: `base` with dead rows dropped — each run of
+    /// surviving base rows copied in one piece — then the surviving
+    /// appended rows, then the writes patched in place. Written once,
+    /// into buffers of exactly the live size.
+    fn materialize(mut self, base: &ShardIndex, dim: usize) -> (Vec<VideoId>, Vec<f32>) {
+        let n = base.len();
+        self.dead.sort_unstable();
+        let live = n + self.appended.len() - self.dead.len();
+        let mut ids = Vec::with_capacity(live);
+        let mut feats = Vec::with_capacity(live * dim);
+        let mut start = 0;
+        for &gap in self.dead.iter().take_while(|&&row| row < n).chain([&n]) {
+            ids.extend_from_slice(&base.ids()[start..gap]);
+            feats.extend_from_slice(&base.features()[start * dim..gap * dim]);
+            start = gap + 1;
+        }
+        for (i, &(id, feature)) in self.appended.iter().enumerate() {
+            if self.dead.binary_search(&(n + i)).is_err() {
+                ids.push(id);
+                feats.extend_from_slice(feature);
+            }
+        }
+        // A surviving row lands at its number minus the dead rows before it.
+        for (row, feature) in self.writes {
+            if let Err(dead_before) = self.dead.binary_search(&row) {
+                let at = row - dead_before;
+                feats[at * dim..(at + 1) * dim].copy_from_slice(feature);
+            }
+        }
+        (ids, feats)
+    }
+}
+
+impl<'a> StagedGallery<'a> {
+    fn new(bases: &'a [Arc<ShardIndex>]) -> Self {
+        let dim = bases.iter().map(|b| b.dim()).find(|&d| d > 0).unwrap_or(0);
+        StagedGallery { bases, dim, edits: bases.iter().map(|_| None).collect() }
     }
 
-    /// The shard new ids route to: fewest staged rows, ties to the
+    /// Live rows of `shard` as staged.
+    fn len(&self, shard: usize) -> usize {
+        let base = self.bases[shard].len();
+        self.edits[shard].as_ref().map_or(base, |e| base + e.appended.len() - e.dead.len())
+    }
+
+    /// `shard`'s edits; a touched shard is rebuilt at publish.
+    fn touch(&mut self, shard: usize) -> &mut Edits<'a> {
+        self.edits[shard].get_or_insert_with(Edits::default)
+    }
+
+    /// Appends a row to `shard`, returning its row number.
+    fn append(&mut self, shard: usize, id: VideoId, feature: &'a [f32]) -> usize {
+        let base = self.bases[shard].len();
+        let edits = self.touch(shard);
+        edits.appended.push((id, feature));
+        base + edits.appended.len() - 1
+    }
+
+    /// The shard new ids route to: fewest live staged rows, ties to the
     /// lowest node index.
     fn smallest_shard(&self) -> usize {
-        self.shards
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, shard)| (shard.ids.len(), *i))
-            .map(|(i, _)| i)
+        (0..self.bases.len())
+            .min_by_key(|&i| (self.len(i), i))
             .expect("systems have at least one node")
+    }
+}
+
+/// An id as one integer, ordered by `(class, instance)`.
+fn id_key(id: VideoId) -> u64 {
+    u64::from(id.class) << 32 | u64::from(id.instance)
+}
+
+/// A gallery location: `(shard, row)` in staging order.
+type Location = (usize, usize);
+
+/// Where each id a batch names lives, found in one pass over the pinned
+/// gallery and kept current as the batch applies — the answers a
+/// per-mutation scan (shards in node order, rows in row order, first
+/// live match) would give.
+struct Locator {
+    /// The batch's distinct ids as [`id_key`]s, ascending, each with
+    /// what is live for it.
+    slots: Vec<(u64, Slot)>,
+    /// Gallery rows holding a batch id, in `(shard, row)` order, each
+    /// linked to the next row holding the same id.
+    found: Vec<(Location, Option<usize>)>,
+}
+
+/// The live rows of one batch id.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    /// Its first gallery row not yet deleted, and its last, as indices
+    /// into `Locator::found`.
+    next: Option<usize>,
+    last: Option<usize>,
+    /// The row a batch insert appended for it, while live. Only an id
+    /// with no live gallery row is appended, so the two never compete.
+    appended: Option<Location>,
+}
+
+impl Locator {
+    fn new(batch: &MutationBatch, bases: &[Arc<ShardIndex>]) -> Self {
+        let mut slots: Vec<(u64, Slot)> = batch
+            .mutations()
+            .iter()
+            .map(|m| match m {
+                Mutation::Insert { id, .. } | Mutation::Delete { id } => id_key(*id),
+            })
+            .map(|key| (key, Slot::default()))
+            .collect();
+        slots.sort_unstable_by_key(|&(key, _)| key);
+        slots.dedup_by_key(|&mut (key, _)| key);
+        let mut found: Vec<(Location, Option<usize>)> = Vec::new();
+        for (s, base) in bases.iter().enumerate() {
+            for (row, &id) in base.ids().iter().enumerate() {
+                if let Ok(i) = slots.binary_search_by_key(&id_key(id), |&(key, _)| key) {
+                    let slot = &mut slots[i].1;
+                    match slot.last.replace(found.len()) {
+                        Some(prev) => found[prev].1 = Some(found.len()),
+                        None => slot.next = Some(found.len()),
+                    }
+                    found.push(((s, row), None));
+                }
+            }
+        }
+        Locator { slots, found }
+    }
+
+    fn index(&self, id: VideoId) -> usize {
+        self.slots
+            .binary_search_by_key(&id_key(id), |&(key, _)| key)
+            .expect("every batch id has a slot")
+    }
+
+    /// The first live row holding `id`.
+    fn find(&self, id: VideoId) -> Option<Location> {
+        let slot = self.slots[self.index(id)].1;
+        slot.next.map(|f| self.found[f].0).or(slot.appended)
+    }
+
+    /// Retires the row [`Locator::find`] returns for `id`.
+    fn remove(&mut self, id: VideoId) {
+        let i = self.index(id);
+        let slot = &mut self.slots[i].1;
+        match slot.next {
+            Some(f) => slot.next = self.found[f].1,
+            None => slot.appended = None,
+        }
+    }
+
+    /// Records the row an insert appended for `id`.
+    fn append(&mut self, id: VideoId, at: Location) {
+        let i = self.index(id);
+        self.slots[i].1.appended = Some(at);
     }
 }
 
@@ -405,15 +555,17 @@ impl RetrievalSystem {
 
     /// Applies an ordered mutation batch as one epoch transaction.
     ///
-    /// The writer stages every touched shard's next generation off to
-    /// the side (one `memcpy` of the SoA storage per touched shard, no
-    /// per-row tensor materialization), applies the batch in order,
-    /// rebuilds the dirty shards deterministically — same
+    /// The writer pins every shard's current generation, locates the
+    /// batch's ids in one pass over them, and applies the batch in order
+    /// as edits to the shards it touches (deletes only mark rows dead).
+    /// Each touched shard's next rows are then written once, off to the
+    /// side, and rebuilt deterministically — same
     /// [`crate::shard_seed`]-per-shard k-means discipline the persist
-    /// path restores with — and publishes all of them atomically under
-    /// the epoch gate. Queries in flight keep their captured generation;
-    /// queries admitted afterwards see the whole batch. A batch that
-    /// touches nothing (empty, or all delete misses) publishes no epoch.
+    /// path restores with — and all of them publish atomically under
+    /// the epoch gate; untouched shards are neither copied nor rebuilt.
+    /// Queries in flight keep their captured generation; queries
+    /// admitted afterwards see the whole batch. A batch that touches
+    /// nothing (empty, or all delete misses) publishes no epoch.
     ///
     /// Insert routing is deterministic: an existing id updates in place
     /// (same shard, same row); a new id appends to the smallest staged
@@ -436,7 +588,9 @@ impl RetrievalSystem {
         if batch.is_empty() {
             return Ok(transition);
         }
-        let mut staged = self.stage();
+        let bases = self.pin();
+        let mut staged = StagedGallery::new(&bases);
+        let mut located = Locator::new(batch, &bases);
         let mut dim = staged.dim;
         for mutation in batch.mutations() {
             match mutation {
@@ -451,27 +605,23 @@ impl RetrievalSystem {
                             feature.len()
                         )));
                     }
-                    match staged.find(*id) {
+                    match located.find(*id) {
                         Some((shard, row)) => {
-                            staged.shards[shard].feats[row * dim..(row + 1) * dim]
-                                .copy_from_slice(feature.as_slice());
-                            staged.shards[shard].dirty = true;
+                            staged.touch(shard).writes.push((row, feature.as_slice()));
                             transition.updated += 1;
                         }
                         None => {
                             let shard = staged.smallest_shard();
-                            staged.shards[shard].ids.push(*id);
-                            staged.shards[shard].feats.extend_from_slice(feature.as_slice());
-                            staged.shards[shard].dirty = true;
+                            let row = staged.append(shard, *id, feature.as_slice());
+                            located.append(*id, (shard, row));
                             transition.inserted += 1;
                         }
                     }
                 }
-                Mutation::Delete { id } => match staged.find(*id) {
+                Mutation::Delete { id } => match located.find(*id) {
                     Some((shard, row)) => {
-                        staged.shards[shard].ids.remove(row);
-                        staged.shards[shard].feats.drain(row * dim..(row + 1) * dim);
-                        staged.shards[shard].dirty = true;
+                        located.remove(*id);
+                        staged.touch(shard).dead.push(row);
                         transition.deleted += 1;
                     }
                     None => transition.delete_misses += 1,
@@ -500,31 +650,26 @@ impl RetrievalSystem {
     pub fn rebalance(&self) -> Result<EpochTransition> {
         let mut stats = self.mutation.lock().unwrap_or_else(|e| e.into_inner());
         let mut transition = EpochTransition { epoch: self.current_epoch(), ..Default::default() };
-        let mut staged = self.stage();
-        let dim = staged.dim;
-        let n = staged.shards.len();
-        let total: usize = staged.shards.iter().map(|s| s.ids.len()).sum();
+        let bases = self.pin();
+        let mut staged = StagedGallery::new(&bases);
+        let n = bases.len();
+        let total: usize = bases.iter().map(|b| b.len()).sum();
         let target =
             |i: usize| -> usize { total / n + usize::from(i < total % n) };
         // Donors surrender surplus rows from the tail, node order.
-        let mut surplus: Vec<(VideoId, Vec<f32>)> = Vec::new();
-        for i in 0..n {
-            while staged.shards[i].ids.len() > target(i) {
-                let id = staged.shards[i].ids.pop().expect("len > target >= 0");
-                let at = staged.shards[i].ids.len() * dim;
-                let feat = staged.shards[i].feats.split_off(at);
-                staged.shards[i].dirty = true;
-                surplus.push((id, feat));
+        let mut surplus: Vec<(VideoId, &[f32])> = Vec::new();
+        for (i, base) in bases.iter().enumerate() {
+            for row in (target(i)..base.len()).rev() {
+                staged.touch(i).dead.push(row);
+                surplus.push((base.ids()[row], base.feature(row)));
             }
         }
         // Recipients fill to target, node order, FIFO over the surplus.
         let mut surplus = surplus.into_iter();
         for i in 0..n {
-            while staged.shards[i].ids.len() < target(i) {
-                let (id, feat) = surplus.next().expect("surplus covers every deficit");
-                staged.shards[i].ids.push(id);
-                staged.shards[i].feats.extend_from_slice(&feat);
-                staged.shards[i].dirty = true;
+            while staged.len(i) < target(i) {
+                let (id, feature) = surplus.next().expect("surplus covers every deficit");
+                staged.append(i, id, feature);
                 transition.rows_moved += 1;
             }
         }
@@ -533,45 +678,35 @@ impl RetrievalSystem {
         Ok(transition)
     }
 
-    /// Copies every shard's current generation into a staging buffer
+    /// Pins every shard's current generation for a writer transaction
     /// (writer-side; the caller holds the mutation lock).
-    fn stage(&self) -> StagedGallery {
-        let snaps: Vec<Arc<ShardIndex>> = self.nodes.iter().map(DataNode::snapshot).collect();
-        let dim = snaps.iter().map(|s| s.dim()).find(|&d| d > 0).unwrap_or(0);
-        StagedGallery {
-            dim,
-            shards: snaps
-                .iter()
-                .map(|s| StagedShard {
-                    ids: s.ids().to_vec(),
-                    feats: s.features().to_vec(),
-                    dirty: false,
-                })
-                .collect(),
-        }
+    fn pin(&self) -> Vec<Arc<ShardIndex>> {
+        self.nodes.iter().map(DataNode::snapshot).collect()
     }
 
-    /// Rebuilds every dirty staged shard off to the side, then swaps all
-    /// of them in and bumps the epoch under the write gate. Nothing
-    /// dirty ⇒ nothing published, epoch unchanged.
-    fn publish(&self, staged: StagedGallery, transition: &mut EpochTransition) -> Result<()> {
+    /// Rebuilds every touched shard off to the side, then swaps all of
+    /// them in and bumps the epoch under the write gate. Nothing touched
+    /// ⇒ nothing published, epoch unchanged.
+    fn publish(&self, staged: StagedGallery<'_>, transition: &mut EpochTransition) -> Result<()> {
         let dim = staged.dim;
-        let mut next: Vec<Option<Arc<ShardIndex>>> = Vec::with_capacity(staged.shards.len());
+        let mut next: Vec<Option<Arc<ShardIndex>>> = Vec::with_capacity(staged.bases.len());
         let mut total = 0usize;
-        for (i, shard) in staged.shards.into_iter().enumerate() {
-            total += shard.ids.len();
-            if shard.dirty {
-                let built = ShardIndex::build_from_rows(
-                    shard.ids,
-                    shard.feats,
-                    dim,
-                    self.config.index,
-                    self.nodes[i].seed(),
-                )?;
-                next.push(Some(Arc::new(built)));
-            } else {
+        for (i, (base, edits)) in staged.bases.iter().zip(staged.edits).enumerate() {
+            let Some(edits) = edits else {
+                total += base.len();
                 next.push(None);
-            }
+                continue;
+            };
+            let (ids, feats) = edits.materialize(base, dim);
+            total += ids.len();
+            let built = ShardIndex::build_from_rows(
+                ids,
+                feats,
+                dim,
+                self.config.index,
+                self.nodes[i].seed(),
+            )?;
+            next.push(Some(Arc::new(built)));
         }
         if next.iter().all(Option::is_none) {
             return Ok(());

@@ -8,6 +8,14 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 
+# End-to-end benchmark: a package of its own (e2e_bench/, outside the
+# workspace) that drives the crates through their public APIs. Building
+# it and running its own tests here makes a public-API change in
+# duo-retrieval or duo-serve that breaks the benchmark fail tier-1
+# instead of the benchmark run after it.
+cargo build --release --offline --manifest-path e2e_bench/Cargo.toml
+cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+
 # Serving-layer smoke: the demo stands up a live duo-serve service
 # (concurrent clients, micro-batching, budget + rate-limit rejections)
 # and must exit cleanly.

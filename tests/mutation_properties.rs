@@ -1,12 +1,14 @@
 //! Property-based coverage of live gallery mutation: epoch transactions
-//! racing chaotic queries, and rebalances racing breaker flaps.
+//! racing chaotic queries, rebalances racing breaker flaps, and staged
+//! batches checked row for row against a sequential model.
 //!
 //! This suite persists failing case seeds to
 //! `tests/mutation_properties.regressions` (see [`duo_check`]); past
 //! failures replay before fresh generation.
 
 use duo::prelude::*;
-use duo_check::{check, prop_assert, prop_assert_eq, Config};
+use duo_check::{check, prop_assert, prop_assert_eq, Config, Failed};
+use std::sync::Arc;
 
 fn config() -> Config {
     Config::default().with_cases(24).with_regressions(concat!(
@@ -47,6 +49,102 @@ fn all_rows(system: &RetrievalSystem) -> Vec<VideoId> {
         system.nodes().iter().flat_map(|n| n.snapshot().ids().to_vec()).collect();
     ids.sort_by_key(|id| (id.class, id.instance));
     ids
+}
+
+/// Every shard's rows as `(id, feature bits)`, row order.
+type Layout = Vec<Vec<(VideoId, Vec<u32>)>>;
+
+fn layout(shards: &[Arc<ShardIndex>]) -> Layout {
+    shards
+        .iter()
+        .map(|s| s.rows().map(|(id, f)| (id, f.iter().map(|x| x.to_bits()).collect())).collect())
+        .collect()
+}
+
+/// The staging contract spelled out row by row: a batch applies to
+/// plain vectors one mutation at a time — first live match in (shard,
+/// row) order, `Vec::remove` on delete, `push` to the smallest shard
+/// (lowest index on ties) on a new insert. Returns the touched shards.
+fn apply_sequentially(model: &mut Layout, batch: &MutationBatch) -> Vec<bool> {
+    let mut touched = vec![false; model.len()];
+    let find = |model: &Layout, id: VideoId| {
+        model
+            .iter()
+            .enumerate()
+            .find_map(|(s, rows)| rows.iter().position(|(x, _)| *x == id).map(|r| (s, r)))
+    };
+    for mutation in batch.mutations() {
+        match mutation {
+            Mutation::Insert { id, feature } => {
+                let bits: Vec<u32> = feature.as_slice().iter().map(|x| x.to_bits()).collect();
+                let (shard, row) = match find(model, *id) {
+                    Some(at) => at,
+                    None => {
+                        let shard = (0..model.len()).min_by_key(|&s| (model[s].len(), s)).unwrap();
+                        model[shard].push((*id, Vec::new()));
+                        (shard, model[shard].len() - 1)
+                    }
+                };
+                model[shard][row] = (*id, bits);
+                touched[shard] = true;
+            }
+            Mutation::Delete { id } => {
+                if let Some((shard, row)) = find(model, *id) {
+                    model[shard].remove(row);
+                    touched[shard] = true;
+                }
+            }
+        }
+    }
+    touched
+}
+
+/// The rebalance contract on plain vectors: donors pop surplus rows off
+/// their tails in node order, recipients take them first-in first-out.
+fn rebalance_sequentially(model: &mut Layout) -> Vec<bool> {
+    let n = model.len();
+    let total: usize = model.iter().map(Vec::len).sum();
+    let target = |i: usize| total / n + usize::from(i < total % n);
+    let mut touched = vec![false; n];
+    let mut surplus = Vec::new();
+    for (i, rows) in model.iter_mut().enumerate() {
+        while rows.len() > target(i) {
+            surplus.push(rows.pop().unwrap());
+            touched[i] = true;
+        }
+    }
+    let mut surplus = surplus.into_iter();
+    for (i, rows) in model.iter_mut().enumerate() {
+        while rows.len() < target(i) {
+            rows.push(surplus.next().unwrap());
+            touched[i] = true;
+        }
+    }
+    touched
+}
+
+/// Checks one transaction against the model: the published layout, a
+/// new generation for exactly the touched shards (the others keep their
+/// very `Arc`), and the receipt's rebuild count and epoch. Returns the
+/// new cut.
+fn check_publish(
+    system: &RetrievalSystem,
+    (epoch, before): &(u64, Vec<Arc<ShardIndex>>),
+    model: &Layout,
+    touched: &[bool],
+    receipt: &EpochTransition,
+) -> Result<(u64, Vec<Arc<ShardIndex>>), Failed> {
+    let now = system.snapshot_with_epoch();
+    let rebuilt = touched.iter().filter(|&&t| t).count() as u64;
+    prop_assert_eq!(&layout(&now.1), model);
+    prop_assert!(
+        before.iter().zip(&now.1).zip(touched).all(|((b, a), &t)| Arc::ptr_eq(b, a) != t),
+        "generations must change exactly on the touched shards {touched:?}"
+    );
+    prop_assert_eq!(receipt.rebuilt_shards, rebuilt);
+    prop_assert_eq!(now.0, epoch + u64::from(rebuilt > 0));
+    prop_assert_eq!(system.gallery_len(), model.iter().map(Vec::len).sum::<usize>());
+    Ok(now)
 }
 
 check! {
@@ -171,5 +269,73 @@ check! {
         prop_assert_eq!(&a, &b, "same-seed serial replay diverged");
         let c = run(true);
         prop_assert_eq!(&a, &c, "threaded fan-out changed the trace");
+    }
+
+    /// Staging touches only what a batch touches, and lands exactly
+    /// where sequential mutation would: after a random batch of inserts,
+    /// in-place updates and deletes (including deleting and re-inserting
+    /// one id, and inserting then deleting a fresh one) every shard's ids
+    /// and feature bits equal a `Vec::remove`/`push` model, untouched
+    /// shards keep their `Arc`, and the transition counts only touched
+    /// shards. Draining shard 0 and then rebalancing obey the same rules.
+    /// The gallery starts with duplicate ids, so "first live match" is
+    /// exercised.
+    fn staged_batches_match_sequential_mutation(
+        seed in 0u64..100_000,
+        nodes in 1usize..5,
+        ops in 1usize..40,
+    ) {
+        let mut rng = Rng64::new(seed);
+        let ds = SyntheticDataset::subsampled(DatasetKind::Hmdb51Like, ClipSpec::tiny(), 5, 1, 0);
+        let mut gallery: Vec<VideoId> =
+            ds.train().iter().filter(|id| id.class < 10).copied().collect();
+        for _ in 0..rng.below(4) {
+            let dup = gallery[rng.below(gallery.len())];
+            gallery.insert(rng.below(gallery.len() + 1), dup);
+        }
+        let victim = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+        let config = RetrievalConfig { m: 3, nodes, ..Default::default() };
+        let system = RetrievalSystem::build(victim, &ds, &gallery, config).unwrap();
+        let dim = system.nodes()[0].snapshot().dim();
+        let feature = |rng: &mut Rng64| {
+            Tensor::from_vec((0..dim).map(|_| rng.uniform() - 0.5).collect(), &[dim]).unwrap()
+        };
+
+        let start = system.snapshot_with_epoch();
+        let mut model = layout(&start.1);
+        let mut fresh = 0u32;
+        let mut batch = MutationBatch::new();
+        for _ in 0..ops {
+            let existing = gallery[rng.below(gallery.len())];
+            let mut new_id = || {
+                fresh += 1;
+                VideoId { class: 500, instance: fresh }
+            };
+            batch = match rng.below(6) {
+                0 => batch.insert(new_id(), feature(&mut rng)),
+                1 => batch.insert(existing, feature(&mut rng)),
+                2 => batch.delete(existing),
+                3 => batch.delete(new_id()),
+                4 => batch.delete(existing).insert(existing, feature(&mut rng)),
+                _ => {
+                    let id = new_id();
+                    batch.insert(id, feature(&mut rng)).delete(id)
+                }
+            };
+        }
+        let touched = apply_sequentially(&mut model, &batch);
+        let receipt = system.apply(&batch).unwrap();
+        let after = check_publish(&system, &start, &model, &touched, &receipt)?;
+
+        // Empty shard 0, so the rebalance has donors giving several rows
+        // each and their order shows.
+        let drain = model[0].iter().fold(MutationBatch::new(), |b, &(id, _)| b.delete(id));
+        let touched = apply_sequentially(&mut model, &drain);
+        let receipt = system.apply(&drain).unwrap();
+        let drained = check_publish(&system, &after, &model, &touched, &receipt)?;
+
+        let touched = rebalance_sequentially(&mut model);
+        let receipt = system.rebalance().unwrap();
+        check_publish(&system, &drained, &model, &touched, &receipt)?;
     }
 }
