@@ -1,5 +1,5 @@
-//! The shard-local ANN index: structure-of-arrays storage, a check-free
-//! blocked distance kernel, bounded top-`m` selection, and a seeded IVF
+//! The shard-local ANN index: structure-of-arrays storage, lane-parallel
+//! distance kernels, bounded top-`m` selection, and a seeded IVF
 //! (inverted-file) coarse quantizer.
 //!
 //! Every [`crate::DataNode`] owns one [`ShardIndex`]. The seed
@@ -33,12 +33,12 @@
 //!
 //! # Determinism
 //!
-//! Exact mode is **bit-identical** to the seed scan: the kernel
-//! accumulates each row's squared distance in strictly sequential element
-//! order (the same order `Tensor::sq_distance` used), blocking only
-//! *across* rows, and the heap's total order `(distance.total_cmp, id)`
-//! is exactly the seed sort's comparator — so the selected set and its
-//! final ascending order coincide with sort-and-truncate. IVF is
+//! Exact mode is **bit-identical** to the seed scan: each row's squared
+//! distance accumulates in strictly sequential element order (the same
+//! order `Tensor::sq_distance` used), and the heap's total order
+//! `(distance.total_cmp, id)` is exactly the seed sort's comparator — so
+//! the selected set and its final ascending order coincide with
+//! sort-and-truncate. IVF is
 //! deterministic too: k-means is seeded ([`shard_seed`] per shard),
 //! assignment and probe ties break on the lower list index, and result
 //! ties break by id. PQ codebooks extend the same doctrine: subspace `s`
@@ -47,10 +47,13 @@
 //! ties), so same shard contents + same seed ⇒ same codebooks, same
 //! codes, same rankings, on every run and thread interleaving — the
 //! property every epoch rebuild and every persistence reload relies on.
-//! Training scores one row per SIMD lane, but each lane runs the
-//! row-at-a-time scan's exact float program (same operands, same order,
-//! same strict `<`), so the trained arrays match that scan bit for bit
-//! (DESIGN.md §6h; pinned by an oracle test against the scalar k-means).
+//! Training and every query-side kernel (exact distances, PQ lookup
+//! tables and ADC sums) score one row — or one codeword — per SIMD
+//! lane, but each lane runs the row-at-a-time scan's exact float program
+//! (same operands, same order, same strict `<`), so trained arrays,
+//! distances and rankings match that scan bit for bit (DESIGN.md §6d,
+//! §6h; pinned by oracle tests against the scalar training and a serial
+//! search).
 //!
 //! # Example
 //!
@@ -98,11 +101,14 @@ const KMEANS_ROUNDS: usize = 8;
 /// observable in production stats at ~1/16th of an exact scan's cost.
 const AUDIT_PERIOD: u64 = 16;
 
-/// Rows per block in the exact kernel. Blocking is across *rows* only —
-/// each row's accumulation stays strictly sequential so distances remain
-/// bit-identical to `Tensor::sq_distance` — and exists to keep the heap
-/// maintenance out of the kernel's inner loop.
-const ROW_BLOCK: usize = 16;
+/// Rows the exact distance kernel scores together, one per SIMD lane:
+/// one 512-bit vector of `f32`.
+const SCAN_LANES: usize = 16;
+
+/// Rows per PQ code panel, one per SIMD lane of the ADC kernel. As in
+/// training ([`TRAIN_LANES`]), 64 lanes keep the kernel a loop the
+/// compiler vectorizes, four 512-bit vectors of sums per panel.
+const CODE_LANES: usize = 64;
 
 /// How a shard answers nearest-neighbour queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -400,15 +406,99 @@ impl TopM {
     }
 }
 
-/// One row's squared Euclidean distance, accumulated in strictly
-/// sequential element order — bit-identical to `Tensor::sq_distance` on
-/// the same data.
-#[inline]
-fn sq_distance_row(row: &[f32], query: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (a, b) in row.iter().zip(query) {
-        let d = a - b;
-        acc += d * d;
+/// The exact distance kernel: the squared Euclidean distances from
+/// `query` to [`SCAN_LANES`] rows of the row-major `matrix` (`dim` floats
+/// per row), one row per SIMD lane. Each lane sums `(x − q)²` from `0.0`
+/// in increasing element order — the f32 program of
+/// `Tensor::sq_distance` — so every distance is bit-identical to a
+/// row-at-a-time scan; only which rows share an instruction changes.
+///
+/// Kept out of line: compiled on its own, the unrolled lane loop
+/// vectorizes (one gather per 8 lanes per element); inlined into its
+/// callers it was left as 16 scalar chains, about 1.5× slower.
+#[inline(never)]
+fn lane_distances(
+    matrix: &[f32],
+    dim: usize,
+    query: &[f32],
+    rows: &[usize; SCAN_LANES],
+) -> [f32; SCAN_LANES] {
+    let lanes: [&[f32]; SCAN_LANES] = std::array::from_fn(|l| &matrix[rows[l] * dim..][..dim]);
+    let mut acc = [0.0f32; SCAN_LANES];
+    for (j, &q) in query[..dim].iter().enumerate() {
+        for (a, row) in acc.iter_mut().zip(&lanes) {
+            let d = row[j] - q;
+            *a += d * d;
+        }
+    }
+    acc
+}
+
+/// Scores `rows` of `matrix` against `query` through [`lane_distances`],
+/// [`SCAN_LANES`] rows at a time, handing each `(row, distance)` to
+/// `emit` in the order given. A short last group fills its spare lanes
+/// with its first row and drops their results. Every exact distance the
+/// index computes — exhaustive scans, recall audits, IVF lists, the
+/// rerank tail, centroid ranking — goes through here.
+fn exact_distances(
+    matrix: &[f32],
+    dim: usize,
+    query: &[f32],
+    rows: impl IntoIterator<Item = usize>,
+    mut emit: impl FnMut(usize, f32),
+) {
+    let mut group = [0usize; SCAN_LANES];
+    let mut filled = 0;
+    for row in rows {
+        group[filled] = row;
+        filled += 1;
+        if filled == SCAN_LANES {
+            let d = lane_distances(matrix, dim, query, &group);
+            group.iter().zip(&d).for_each(|(&r, &d)| emit(r, d));
+            filled = 0;
+        }
+    }
+    if filled > 0 {
+        let first = group[0];
+        group[filled..].fill(first);
+        let d = lane_distances(matrix, dim, query, &group);
+        group[..filled].iter().zip(&d).for_each(|(&r, &d)| emit(r, d));
+    }
+}
+
+/// A compressed-scan candidate `(distance, row)` packed into one `u64`
+/// whose unsigned order is the total order `(distance.total_cmp, row)`:
+/// the distance's bits above the row, remapped so that unsigned order
+/// matches `f32::total_cmp` (negatives with every bit flipped, the rest
+/// with the sign bit set). Selection then compares plain integers,
+/// which keeps its partition loop free of data-dependent branches.
+fn candidate_key(distance: f32, row: u32) -> u64 {
+    let bits = distance.to_bits();
+    let ordered = if bits >> 31 == 1 { !bits } else { bits | 1 << 31 };
+    u64::from(ordered) << 32 | u64::from(row)
+}
+
+/// The `(distance, row)` a [`candidate_key`] packs.
+fn candidate_parts(key: u64) -> (f32, u32) {
+    let ordered = (key >> 32) as u32;
+    let bits = if ordered >> 31 == 1 { ordered & !(1 << 31) } else { !ordered };
+    (f32::from_bits(bits), key as u32)
+}
+
+/// The ADC kernel: the approximate distances of one code panel's `width`
+/// rows (`width ≤ CODE_LANES`, one row per lane). Each lane adds its
+/// row's table entries `lut[s*ksub + code_s]` from `0.0` in subspace
+/// order — the serial ADC loop's float program. Codes are `< ksub`
+/// (built that way, and checked at load), so `get` always hits; it
+/// stands in for indexing so the lane loop carries no panic branch and
+/// vectorizes as a gather.
+#[inline(always)]
+fn adc_panel(lut: &[f32], ksub: usize, panel: &[u8], width: usize) -> [f32; CODE_LANES] {
+    let mut acc = [0.0f32; CODE_LANES];
+    for (table, codes) in lut.chunks_exact(ksub).zip(panel.chunks_exact(width)) {
+        for (a, &c) in acc[..width].iter_mut().zip(codes) {
+            *a += table.get(usize::from(c)).copied().unwrap_or(0.0);
+        }
     }
     acc
 }
@@ -426,16 +516,109 @@ struct Ivf {
 }
 
 /// A trained product quantizer over coarse residuals: `m_sub` subspace
-/// codebooks of `ksub` codewords each, `dsub = dim / m_sub` dims apiece.
+/// codebooks of `ksub` codewords each, `dsub = dim / m_sub` dims apiece,
+/// plus every row's codes, both laid out for the query kernels.
 #[derive(Debug, Clone)]
 struct PqCodec {
     m_sub: usize,
     ksub: usize,
     dsub: usize,
-    /// `m_sub × ksub × dsub`, subspace-major: codeword `k` of subspace
-    /// `s` at `[(s*ksub + k)*dsub ..][..dsub]`.
+    /// `m_sub × dsub × ksub`, element-major within a subspace: element
+    /// `j` of codeword `k` in subspace `s` at `[(s*dsub + j)*ksub + k]`,
+    /// so one load fetches element `j` of every codeword (the lookup
+    /// table is built one codeword per lane). The `DUOINDX3` aux section
+    /// stores the codeword-major transpose.
     codebooks: Vec<f32>,
+    /// Codes per inverted list, in the list's row order, as panels of
+    /// [`CODE_LANES`] rows stored subspace-major: the panel holding list
+    /// positions `[64p, 64p + w)` keeps sub-code `s` of position
+    /// `64p + i` at `[64p·m_sub + s·w + i]`, so one load fetches
+    /// subspace `s` for a whole panel. The last panel is `w` rows wide.
+    codes: Vec<Vec<u8>>,
     rerank: usize,
+}
+
+impl PqCodec {
+    /// Lays trained parts out for the query kernels: `codebooks` in the
+    /// codeword-major training layout (`[(s*ksub + k)*dsub + j]`), `codes`
+    /// row-major (`m_sub` bytes per row), `lists` the inverted lists.
+    fn new(
+        m_sub: usize,
+        dsub: usize,
+        codebooks: &[f32],
+        codes: &[u8],
+        lists: &[Vec<u32>],
+        rerank: usize,
+    ) -> Self {
+        let ksub = codebooks.len() / (m_sub * dsub);
+        let codes = lists
+            .iter()
+            .map(|rows| {
+                let mut out = Vec::with_capacity(rows.len() * m_sub);
+                for panel in rows.chunks(CODE_LANES) {
+                    for s in 0..m_sub {
+                        out.extend(panel.iter().map(|&r| codes[r as usize * m_sub + s]));
+                    }
+                }
+                out
+            })
+            .collect();
+        let codebooks = transpose_blocks(codebooks, ksub, dsub);
+        PqCodec { m_sub, ksub, dsub, codebooks, codes, rerank }
+    }
+
+    /// The codebooks in the codeword-major training layout.
+    fn codeword_major_codebooks(&self) -> Vec<f32> {
+        transpose_blocks(&self.codebooks, self.dsub, self.ksub)
+    }
+
+    /// Every row's codes, row-major (`m_sub` bytes per row), from the
+    /// panels of `lists`.
+    fn row_major_codes(&self, lists: &[Vec<u32>], rows: usize) -> Vec<u8> {
+        let mut out = vec![0u8; rows * self.m_sub];
+        for (codes, rows) in self.codes.iter().zip(lists) {
+            let panels = codes.chunks(CODE_LANES * self.m_sub);
+            for (panel, rows) in panels.zip(rows.chunks(CODE_LANES)) {
+                for (s, sub) in panel.chunks_exact(rows.len()).enumerate() {
+                    for (&c, &r) in sub.iter().zip(rows) {
+                        out[r as usize * self.m_sub + s] = c;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Fills `lut` (`m_sub × ksub`) for the residual query `rq`: entry
+    /// `s*ksub + k` is `‖codeword(s, k) − rq_sub(s)‖²`, each codeword one
+    /// lane, summing `(word − q)²` from `0.0` in element order.
+    fn fill_lut(&self, rq: &[f32], lut: &mut [f32]) {
+        let books = self.codebooks.chunks_exact(self.dsub * self.ksub);
+        for ((table, book), q) in
+            lut.chunks_exact_mut(self.ksub).zip(books).zip(rq.chunks_exact(self.dsub))
+        {
+            table.fill(0.0);
+            for (words, &qj) in book.chunks_exact(self.ksub).zip(q) {
+                for (t, &w) in table.iter_mut().zip(words) {
+                    let d = w - qj;
+                    *t += d * d;
+                }
+            }
+        }
+    }
+}
+
+/// Transposes each consecutive `rows × cols` row-major block of `data`.
+fn transpose_blocks(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; data.len()];
+    for (src, dst) in data.chunks_exact(rows * cols).zip(out.chunks_exact_mut(rows * cols)) {
+        for (r, row) in src.chunks_exact(cols).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                dst[c * rows + r] = x;
+            }
+        }
+    }
+    out
 }
 
 /// A trained per-dimension affine scalar quantizer over coarse
@@ -445,6 +628,8 @@ struct PqCodec {
 struct Sq8Codec {
     mins: Vec<f32>,
     steps: Vec<f32>,
+    /// Row-major residual codes, `dim` bytes per row.
+    codes: Vec<u8>,
     rerank: usize,
 }
 
@@ -455,87 +640,6 @@ struct Sq8Codec {
 enum Codec {
     Pq(PqCodec),
     Sq8(Sq8Codec),
-}
-
-/// Bounded top-`cap` row selection by approximate distance — the rerank
-/// staging heap. Same mechanics as [`TopM`], ordered by
-/// `(distance, row)` so the retained candidate *set* is independent of
-/// scan order.
-struct TopRows {
-    cap: usize,
-    heap: BinaryHeap<RowCand>,
-}
-
-#[derive(PartialEq)]
-struct RowCand {
-    distance: f32,
-    row: u32,
-}
-
-impl Eq for RowCand {}
-
-impl Ord for RowCand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.distance.total_cmp(&other.distance).then_with(|| self.row.cmp(&other.row))
-    }
-}
-
-impl PartialOrd for RowCand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl TopRows {
-    fn new(cap: usize) -> Self {
-        TopRows { cap, heap: BinaryHeap::with_capacity(cap.saturating_add(1)) }
-    }
-
-    #[inline]
-    fn push(&mut self, distance: f32, row: u32) {
-        if self.cap == 0 {
-            return;
-        }
-        let cand = RowCand { distance, row };
-        if self.heap.len() < self.cap {
-            self.heap.push(cand);
-        } else if let Some(worst) = self.heap.peek() {
-            if cand < *worst {
-                self.heap.pop();
-                self.heap.push(cand);
-            }
-        }
-    }
-
-    fn rows(self) -> impl Iterator<Item = u32> {
-        self.heap.into_iter().map(|c| c.row)
-    }
-}
-
-/// Where a compressed scan's candidates go: straight into the result
-/// heap when `rerank == 0`, or into the rerank staging heap (capacity
-/// `max(rerank, m)`) for exact rescoring.
-enum CandidateSink {
-    Direct(TopM),
-    Rerank(TopRows),
-}
-
-impl CandidateSink {
-    fn new(m: usize, rerank: usize) -> Self {
-        if rerank == 0 {
-            CandidateSink::Direct(TopM::new(m))
-        } else {
-            CandidateSink::Rerank(TopRows::new(rerank.max(m)))
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, distance: f32, row: u32, ids: &[VideoId]) {
-        match self {
-            CandidateSink::Direct(top) => top.push(distance, ids[row as usize]),
-            CandidateSink::Rerank(rows) => rows.push(distance, row),
-        }
-    }
 }
 
 /// Aggregated scan counters for one index (or, merged, for a whole
@@ -656,10 +760,8 @@ pub struct ShardIndex {
     /// with `ivf.lists` but kept flat for residual decoding and the
     /// `DUOINDX3` writer.
     coarse_assign: Vec<u32>,
+    /// The residual codec and its codes (compressed modes only).
     codec: Option<Codec>,
-    /// Row-major residual codes: `m_sub` bytes per row (PQ) or `dim`
-    /// bytes per row (SQ8); empty for uncompressed modes.
-    codes: Vec<u8>,
     queries: AtomicU64,
     probed_lists: AtomicU64,
     scanned_rows: AtomicU64,
@@ -727,9 +829,9 @@ impl ShardIndex {
             )));
         }
         if let IndexMode::Pq { m_sub, .. } = mode {
-            if !ids.is_empty() && dim % m_sub != 0 {
+            if !ids.is_empty() && (dim == 0 || dim % m_sub != 0) {
                 return Err(RetrievalError::BadConfig(format!(
-                    "PQ m_sub must divide the feature dimension: {dim} % {m_sub} != 0"
+                    "PQ m_sub must divide a positive feature dimension: dim {dim}, m_sub {m_sub}"
                 )));
             }
         }
@@ -741,18 +843,17 @@ impl ShardIndex {
             }
             _ => (None, Vec::new(), None),
         };
-        let (codec, codes) = match (mode, &ivf, &packed) {
+        let codec = match (mode, &ivf, &packed) {
             (IndexMode::Pq { m_sub, nbits, rerank, .. }, Some(ivf), Some(packed)) => {
-                let (pq, codes) =
-                    train_pq(packed, &ivf.centroids, &coarse_assign, m_sub, nbits, rerank, seed);
-                (Some(Codec::Pq(pq)), codes)
+                let (codebooks, codes) =
+                    train_pq(packed, &ivf.centroids, &coarse_assign, m_sub, nbits, seed);
+                let pq = PqCodec::new(m_sub, dim / m_sub, &codebooks, &codes, &ivf.lists, rerank);
+                Some(Codec::Pq(pq))
             }
             (IndexMode::Sq8 { rerank, .. }, Some(ivf), _) => {
-                let (sq, codes) =
-                    train_sq8(&feats, dim, &ivf.centroids, &coarse_assign, rerank);
-                (Some(Codec::Sq8(sq)), codes)
+                Some(Codec::Sq8(train_sq8(&feats, dim, &ivf.centroids, &coarse_assign, rerank)))
             }
-            _ => (None, Vec::new()),
+            _ => None,
         };
         Ok(ShardIndex {
             ids,
@@ -762,7 +863,6 @@ impl ShardIndex {
             ivf,
             coarse_assign,
             codec,
-            codes,
             queries: AtomicU64::new(0),
             probed_lists: AtomicU64::new(0),
             scanned_rows: AtomicU64::new(0),
@@ -874,97 +974,84 @@ impl ShardIndex {
         }
     }
 
-    /// Exhaustive scan over the SoA matrix, blocked across rows.
+    /// Exhaustive scan over the SoA matrix.
     fn scan_all(&self, query: &[f32], m: usize) -> Vec<ScoredId> {
         let mut top = TopM::new(m);
-        let mut distances = [0.0f32; ROW_BLOCK];
-        let mut row = 0usize;
-        while row < self.ids.len() {
-            let block = ROW_BLOCK.min(self.ids.len() - row);
-            for (i, d) in distances[..block].iter_mut().enumerate() {
-                let r = row + i;
-                *d = sq_distance_row(&self.feats[r * self.dim..(r + 1) * self.dim], query);
-            }
-            for (i, &d) in distances[..block].iter().enumerate() {
-                top.push(d, self.ids[row + i]);
-            }
-            row += block;
-        }
+        exact_distances(&self.feats, self.dim, query, 0..self.ids.len(), |r, d| {
+            top.push(d, self.ids[r]);
+        });
         top.into_sorted()
     }
 
     /// Centroid ranking shared by every coarse mode: exact distances,
-    /// ties toward the lower list index.
-    fn rank_centroids(&self, ivf: &Ivf, query: &[f32]) -> Vec<(f32, usize)> {
-        let nlist = ivf.lists.len();
-        let mut order: Vec<(f32, usize)> = (0..nlist)
-            .map(|c| (sq_distance_row(&ivf.centroids[c * self.dim..(c + 1) * self.dim], query), c))
-            .collect();
-        // Ties on centroid distance break toward the lower list index.
+    /// ties toward the lower list index. Returns the `nprobe` nearest
+    /// lists, nearest first.
+    fn probed_lists(&self, ivf: &Ivf, query: &[f32]) -> Vec<usize> {
+        let mut order = Vec::with_capacity(ivf.lists.len());
+        exact_distances(&ivf.centroids, self.dim, query, 0..ivf.lists.len(), |c, d| {
+            order.push((d, c));
+        });
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        order
+        order.truncate(ivf.nprobe);
+        order.into_iter().map(|(_, c)| c).collect()
     }
 
-    /// IVF probe: rank centroids by exact distance, scan the `nprobe`
-    /// nearest lists exhaustively.
+    /// Counts one coarse scan: `probed` lists, every member row scanned.
+    /// Returns the scanned row count.
+    fn count_probe(&self, ivf: &Ivf, probed: &[usize]) -> usize {
+        let scanned = probed.iter().map(|&l| ivf.lists[l].len()).sum::<usize>();
+        self.probed_lists.fetch_add(probed.len() as u64, Ordering::Relaxed);
+        self.scanned_rows.fetch_add(scanned as u64, Ordering::Relaxed);
+        scanned
+    }
+
+    /// IVF probe: scan the `nprobe` nearest lists exhaustively.
     fn scan_ivf(&self, ivf: &Ivf, query: &[f32], m: usize) -> Vec<ScoredId> {
-        let order = self.rank_centroids(ivf, query);
-        let probe = ivf.nprobe.min(ivf.lists.len());
+        let probed = self.probed_lists(ivf, query);
+        self.count_probe(ivf, &probed);
+        let rows = probed.iter().flat_map(|&l| ivf.lists[l].iter().map(|&r| r as usize));
         let mut top = TopM::new(m);
-        let mut scanned = 0u64;
-        for &(_, list) in &order[..probe] {
-            for &row in &ivf.lists[list] {
-                let r = row as usize;
-                let d = sq_distance_row(&self.feats[r * self.dim..(r + 1) * self.dim], query);
-                top.push(d, self.ids[r]);
-            }
-            scanned += ivf.lists[list].len() as u64;
-        }
-        self.probed_lists.fetch_add(probe as u64, Ordering::Relaxed);
-        self.scanned_rows.fetch_add(scanned, Ordering::Relaxed);
+        exact_distances(&self.feats, self.dim, query, rows, |r, d| top.push(d, self.ids[r]));
         top.into_sorted()
     }
 
+    /// The residual query `q − centroid[list]`.
+    fn residual_query(&self, ivf: &Ivf, list: usize, query: &[f32], rq: &mut [f32]) {
+        let centroid = &ivf.centroids[list * self.dim..(list + 1) * self.dim];
+        for (d, (q, c)) in rq.iter_mut().zip(query.iter().zip(centroid)) {
+            *d = q - c;
+        }
+    }
+
     /// PQ probe: per probed list, build the ADC lookup table for the
-    /// residual query `q − centroid`, then score the list's rows as
-    /// `m_sub` table adds each. Candidates go straight into the top-`m`
-    /// heap (`rerank == 0`) or through the exact-rerank tail.
+    /// residual query `q − centroid`, then score the list's code panels
+    /// through [`adc_panel`] (`m_sub` table adds per row). Candidates go
+    /// to [`ShardIndex::select`].
     fn scan_pq(&self, ivf: &Ivf, pq: &PqCodec, query: &[f32], m: usize) -> Vec<ScoredId> {
-        let order = self.rank_centroids(ivf, query);
-        let probe = ivf.nprobe.min(ivf.lists.len());
-        let mut sink = CandidateSink::new(m, pq.rerank);
-        let mut scanned = 0u64;
+        let probed = self.probed_lists(ivf, query);
+        let mut candidates = Vec::with_capacity(self.count_probe(ivf, &probed));
         let mut rq = vec![0.0f32; self.dim];
         let mut lut = vec![0.0f32; pq.m_sub * pq.ksub];
-        for &(_, list) in &order[..probe] {
-            if ivf.lists[list].is_empty() {
+        for &list in &probed {
+            let rows = &ivf.lists[list];
+            if rows.is_empty() {
                 continue;
             }
-            let centroid = &ivf.centroids[list * self.dim..(list + 1) * self.dim];
-            for (d, (q, c)) in rq.iter_mut().zip(query.iter().zip(centroid)) {
-                *d = q - c;
+            self.residual_query(ivf, list, query, &mut rq);
+            pq.fill_lut(&rq, &mut lut);
+            let panels = pq.codes[list].chunks(CODE_LANES * pq.m_sub);
+            for (panel, rows) in panels.zip(rows.chunks(CODE_LANES)) {
+                // Full panels take the constant width, so the lane loop
+                // compiles to whole vectors.
+                let adc = if rows.len() == CODE_LANES {
+                    adc_panel(&lut, pq.ksub, panel, CODE_LANES)
+                } else {
+                    adc_panel(&lut, pq.ksub, panel, rows.len())
+                };
+                candidates.extend(adc.iter().zip(rows).map(|(&d, &r)| candidate_key(d, r)));
             }
-            for s in 0..pq.m_sub {
-                let q_sub = &rq[s * pq.dsub..(s + 1) * pq.dsub];
-                for k in 0..pq.ksub {
-                    let word = &pq.codebooks[(s * pq.ksub + k) * pq.dsub..][..pq.dsub];
-                    lut[s * pq.ksub + k] = sq_distance_row(word, q_sub);
-                }
-            }
-            for &row in &ivf.lists[list] {
-                let r = row as usize;
-                let code = &self.codes[r * pq.m_sub..(r + 1) * pq.m_sub];
-                let mut adc = 0.0f32;
-                for (s, &c) in code.iter().enumerate() {
-                    adc += lut[s * pq.ksub + c as usize];
-                }
-                sink.push(adc, row, &self.ids);
-            }
-            scanned += ivf.lists[list].len() as u64;
         }
-        self.probed_lists.fetch_add(probe as u64, Ordering::Relaxed);
-        self.scanned_rows.fetch_add(scanned, Ordering::Relaxed);
-        self.finish_sink(sink, query, m)
+        self.select(candidates, pq.rerank, query, m)
     }
 
     /// SQ8 probe: per probed list, decode each row's residual bytes
@@ -980,25 +1067,21 @@ impl ShardIndex {
     /// byte→f32 decode.
     fn scan_sq8(&self, ivf: &Ivf, sq: &Sq8Codec, query: &[f32], m: usize) -> Vec<ScoredId> {
         const LANES: usize = 8;
-        let order = self.rank_centroids(ivf, query);
-        let probe = ivf.nprobe.min(ivf.lists.len());
-        let mut sink = CandidateSink::new(m, sq.rerank);
-        let mut scanned = 0u64;
+        let probed = self.probed_lists(ivf, query);
+        let mut candidates = Vec::with_capacity(self.count_probe(ivf, &probed));
         let mut tq = vec![0.0f32; self.dim];
         let tail = self.dim - self.dim % LANES;
-        for &(_, list) in &order[..probe] {
+        for &list in &probed {
             if ivf.lists[list].is_empty() {
                 continue;
             }
-            let centroid = &ivf.centroids[list * self.dim..(list + 1) * self.dim];
-            for (t, ((q, c), min)) in
-                tq.iter_mut().zip(query.iter().zip(centroid).zip(&sq.mins))
-            {
-                *t = (q - c) - min;
+            self.residual_query(ivf, list, query, &mut tq);
+            for (t, min) in tq.iter_mut().zip(&sq.mins) {
+                *t -= min;
             }
             for &row in &ivf.lists[list] {
                 let r = row as usize;
-                let code = &self.codes[r * self.dim..(r + 1) * self.dim];
+                let code = &sq.codes[r * self.dim..(r + 1) * self.dim];
                 let mut lanes = [0.0f32; LANES];
                 for ((cs, ts), ss) in code
                     .chunks_exact(LANES)
@@ -1017,36 +1100,42 @@ impl ShardIndex {
                     let diff = t - s * f32::from(c);
                     acc += diff * diff;
                 }
-                sink.push(acc, row, &self.ids);
+                candidates.push(candidate_key(acc, row));
             }
-            scanned += ivf.lists[list].len() as u64;
         }
-        self.probed_lists.fetch_add(probe as u64, Ordering::Relaxed);
-        self.scanned_rows.fetch_add(scanned, Ordering::Relaxed);
-        self.finish_sink(sink, query, m)
+        self.select(candidates, sq.rerank, query, m)
     }
 
-    /// Resolves a compressed scan's candidate sink: either the ADC
-    /// ranking directly, or the exact-rerank tail — rescore the retained
-    /// rows from the f32 matrix into a fresh top-`m` heap. Both heaps
-    /// select under total orders, so results are independent of scan
-    /// order.
-    fn finish_sink(&self, sink: CandidateSink, query: &[f32], m: usize) -> Vec<ScoredId> {
-        match sink {
-            CandidateSink::Direct(top) => top.into_sorted(),
-            CandidateSink::Rerank(rows) => {
-                let mut top = TopM::new(m);
-                let mut rescored = 0u64;
-                for row in rows.rows() {
-                    let r = row as usize;
-                    let d = sq_distance_row(&self.feats[r * self.dim..(r + 1) * self.dim], query);
-                    top.push(d, self.ids[r]);
-                    rescored += 1;
-                }
-                self.reranked_rows.fetch_add(rescored, Ordering::Relaxed);
-                top.into_sorted()
+    /// Ranks a compressed scan's candidates ([`candidate_key`]s of
+    /// approximate distance and row). With `rerank == 0` they rank
+    /// directly into the top-`m`. Otherwise the best `max(rerank, m)`
+    /// under `(distance, row)` are selected and rescored exactly from the
+    /// f32 matrix into the top-`m`. Both orders are total, so the result
+    /// does not depend on scan order.
+    fn select(
+        &self,
+        mut candidates: Vec<u64>,
+        rerank: usize,
+        query: &[f32],
+        m: usize,
+    ) -> Vec<ScoredId> {
+        let mut top = TopM::new(m);
+        if rerank == 0 {
+            for key in candidates {
+                let (d, row) = candidate_parts(key);
+                top.push(d, self.ids[row as usize]);
             }
+            return top.into_sorted();
         }
+        let keep = rerank.max(m);
+        if candidates.len() > keep {
+            candidates.select_nth_unstable(keep - 1);
+            candidates.truncate(keep);
+        }
+        let rows = candidates.iter().map(|&key| candidate_parts(key).1 as usize);
+        exact_distances(&self.feats, self.dim, query, rows, |r, d| top.push(d, self.ids[r]));
+        self.reranked_rows.fetch_add(candidates.len() as u64, Ordering::Relaxed);
+        top.into_sorted()
     }
 
     /// Materializes `(id, feature)` pairs in row order. This clones every
@@ -1091,12 +1180,14 @@ impl ShardIndex {
     /// Bytes of compressed residual codes plus codec tables (codebooks
     /// for PQ, min/step tables for SQ8); 0 for uncompressed modes.
     pub fn code_bytes(&self) -> u64 {
-        let aux = match &self.codec {
+        let bytes = match &self.codec {
             None => 0,
-            Some(Codec::Pq(pq)) => pq.codebooks.len() * 4,
-            Some(Codec::Sq8(sq)) => (sq.mins.len() + sq.steps.len()) * 4,
+            Some(Codec::Pq(pq)) => {
+                pq.codes.iter().map(Vec::len).sum::<usize>() + pq.codebooks.len() * 4
+            }
+            Some(Codec::Sq8(sq)) => sq.codes.len() + (sq.mins.len() + sq.steps.len()) * 4,
         };
-        (self.codes.len() + aux) as u64
+        bytes as u64
     }
 
     /// Resident bytes the hot scan path touches, amortized per row:
@@ -1137,18 +1228,23 @@ impl ShardIndex {
         let centroid = &ivf.centroids[c * self.dim..(c + 1) * self.dim];
         match codec {
             Codec::Pq(pq) => {
-                let code = &self.codes[row * pq.m_sub..(row + 1) * pq.m_sub];
+                // The row's panel and lane within its inverted list.
+                let list = &ivf.lists[c];
+                let pos = list.binary_search(&(row as u32)).expect("a row is in its own list");
+                let (start, lane) = (pos - pos % CODE_LANES, pos % CODE_LANES);
+                let width = (list.len() - start).min(CODE_LANES);
+                let panel = &pq.codes[c][start * pq.m_sub..];
                 let mut out = centroid.to_vec();
-                for (s, &k) in code.iter().enumerate() {
-                    let word = &pq.codebooks[(s * pq.ksub + k as usize) * pq.dsub..][..pq.dsub];
-                    for (o, &w) in out[s * pq.dsub..(s + 1) * pq.dsub].iter_mut().zip(word) {
-                        *o += w;
+                for (s, out) in out.chunks_exact_mut(pq.dsub).enumerate() {
+                    let k = usize::from(panel[s * width + lane]);
+                    for (j, o) in out.iter_mut().enumerate() {
+                        *o += pq.codebooks[(s * pq.dsub + j) * pq.ksub + k];
                     }
                 }
                 out
             }
             Codec::Sq8(sq) => {
-                let code = &self.codes[row * self.dim..(row + 1) * self.dim];
+                let code = &sq.codes[row * self.dim..(row + 1) * self.dim];
                 centroid
                     .iter()
                     .zip(code)
@@ -1173,14 +1269,16 @@ impl ShardIndex {
     /// writer serializes. Centroids/aux/codes are empty slices or
     /// vectors where the mode has none.
     pub(crate) fn parts(&self) -> IndexParts<'_> {
-        let aux = match &self.codec {
-            None => Vec::new(),
-            Some(Codec::Pq(pq)) => pq.codebooks.clone(),
-            Some(Codec::Sq8(sq)) => {
+        let (aux, codes) = match (&self.codec, &self.ivf) {
+            (Some(Codec::Pq(pq)), Some(ivf)) => {
+                (pq.codeword_major_codebooks(), pq.row_major_codes(&ivf.lists, self.ids.len()))
+            }
+            (Some(Codec::Sq8(sq)), _) => {
                 let mut aux = sq.mins.clone();
                 aux.extend_from_slice(&sq.steps);
-                aux
+                (aux, sq.codes.clone())
             }
+            _ => (Vec::new(), Vec::new()),
         };
         IndexParts {
             ids: &self.ids,
@@ -1188,7 +1286,7 @@ impl ShardIndex {
             centroids: self.ivf.as_ref().map_or(&[], |ivf| &ivf.centroids),
             assign: &self.coarse_assign,
             aux,
-            codes: &self.codes,
+            codes,
         }
     }
 
@@ -1201,8 +1299,9 @@ impl ShardIndex {
     ///
     /// # Errors
     ///
-    /// Returns [`RetrievalError::BadConfig`] for invalid modes or array
-    /// lengths that disagree with `mode`/`dim`/row count.
+    /// Returns [`RetrievalError::BadConfig`] for invalid modes, array
+    /// lengths that disagree with `mode`/`dim`/row count, or PQ codes
+    /// naming a codeword the codebooks do not hold.
     pub(crate) fn from_parts(
         ids: Vec<VideoId>,
         feats: Vec<f32>,
@@ -1240,7 +1339,7 @@ impl ShardIndex {
             _ => (None, Vec::new()),
         };
         let codec = match (mode, &ivf) {
-            (IndexMode::Pq { m_sub, rerank, .. }, Some(_)) => {
+            (IndexMode::Pq { m_sub, rerank, .. }, Some(ivf)) => {
                 if m_sub == 0 || dim % m_sub != 0 || codes.len() != rows * m_sub {
                     return Err(bad("pq codes"));
                 }
@@ -1252,7 +1351,13 @@ impl ShardIndex {
                 if ksub == 0 || ksub > 256 {
                     return Err(bad("pq codebooks"));
                 }
-                Some(Codec::Pq(PqCodec { m_sub, ksub, dsub, codebooks: aux, rerank }))
+                // The ADC kernel trusts every code to name a codeword.
+                if let Some(&c) = codes.iter().find(|&&c| usize::from(c) >= ksub) {
+                    return Err(RetrievalError::BadConfig(format!(
+                        "DUOINDX3 pq code {c} out of range for {ksub} codewords"
+                    )));
+                }
+                Some(Codec::Pq(PqCodec::new(m_sub, dsub, &aux, &codes, &ivf.lists, rerank)))
             }
             (IndexMode::Sq8 { rerank, .. }, Some(_)) => {
                 if aux.len() != 2 * dim || codes.len() != rows * dim {
@@ -1261,11 +1366,10 @@ impl ShardIndex {
                 let steps = aux[dim..].to_vec();
                 let mut mins = aux;
                 mins.truncate(dim);
-                Some(Codec::Sq8(Sq8Codec { mins, steps, rerank }))
+                Some(Codec::Sq8(Sq8Codec { mins, steps, codes, rerank }))
             }
             _ => None,
         };
-        let codes = if codec.is_some() { codes } else { Vec::new() };
         Ok(ShardIndex {
             ids,
             feats,
@@ -1274,7 +1378,6 @@ impl ShardIndex {
             ivf,
             coarse_assign,
             codec,
-            codes,
             queries: AtomicU64::new(0),
             probed_lists: AtomicU64::new(0),
             scanned_rows: AtomicU64::new(0),
@@ -1297,11 +1400,12 @@ pub(crate) struct IndexParts<'a> {
     pub centroids: &'a [f32],
     /// Per-row coarse list assignment (empty in exact mode).
     pub assign: &'a [u32],
-    /// Codec tables: PQ codebooks, or SQ8 `mins ‖ steps` (owned — the
-    /// SQ8 concatenation has no contiguous borrow).
+    /// Codec tables: PQ codebooks (codeword-major), or SQ8 `mins ‖ steps`
+    /// (owned — neither is stored in this layout).
     pub aux: Vec<f32>,
-    /// Row-major residual codes (empty for uncompressed modes).
-    pub codes: &'a [u8],
+    /// Row-major residual codes (empty for uncompressed modes; owned —
+    /// PQ keeps its codes in per-list panels).
+    pub codes: Vec<u8>,
 }
 
 /// Rows the training kernel scores together, one per SIMD lane: four
@@ -1501,16 +1605,16 @@ fn coarse_residuals(feats: &[f32], dim: usize, centroids: &[f32], assign: &[u32]
 /// own seeded k-means ([`pq_subspace_seed`]) on the rows' `dsub`-dim
 /// residual slices; encoding is a final explicit nearest-codeword pass
 /// (lowest index on ties) against the trained codebook, so codes are a
-/// pure function of `(rows, seed)`.
+/// pure function of `(rows, seed)`. Returns the codeword-major codebooks
+/// (`m_sub × ksub × dsub`) and the row-major codes.
 fn train_pq(
     data: &LanePanels,
     centroids: &[f32],
     assign: &[u32],
     m_sub: usize,
     nbits: u32,
-    rerank: usize,
     seed: u64,
-) -> (PqCodec, Vec<u8>) {
+) -> (Vec<f32>, Vec<u8>) {
     let rows = assign.len();
     let dsub = data.dim / m_sub;
     let ksub = (1usize << nbits).min(rows);
@@ -1529,7 +1633,7 @@ fn train_pq(
         }
         codebooks[s * ksub * dsub..(s + 1) * ksub * dsub].copy_from_slice(&book);
     }
-    (PqCodec { m_sub, ksub, dsub, codebooks, rerank }, codes)
+    (codebooks, codes)
 }
 
 /// Trains the per-dimension affine scalar quantizer over coarse
@@ -1542,7 +1646,7 @@ fn train_sq8(
     centroids: &[f32],
     assign: &[u32],
     rerank: usize,
-) -> (Sq8Codec, Vec<u8>) {
+) -> Sq8Codec {
     let rows = assign.len();
     let residuals = coarse_residuals(feats, dim, centroids, assign);
     let mut mins = vec![f32::INFINITY; dim];
@@ -1567,7 +1671,7 @@ fn train_sq8(
             };
         }
     }
-    (Sq8Codec { mins, steps, rerank }, codes)
+    Sq8Codec { mins, steps, codes, rerank }
 }
 
 #[cfg(test)]
@@ -1841,6 +1945,9 @@ mod tests {
         assert!(ShardIndex::build(&gallery, IndexMode::pq(2, 1, 2, 9, 0), 0).is_err());
         // dim 2 is not divisible by m_sub 3.
         assert!(ShardIndex::build(&gallery, IndexMode::pq(2, 1, 3, 8, 0), 0).is_err());
+        // Zero-dimensional rows leave no subspace to quantize.
+        let flat = entries(&[(0, vec![]), (1, vec![])]);
+        assert!(ShardIndex::build(&flat, IndexMode::pq(2, 1, 1, 8, 0), 0).is_err());
         assert!(ShardIndex::build(&gallery, IndexMode::sq8(0, 1, 0), 0).is_err());
         assert!(ShardIndex::build(&gallery, IndexMode::sq8(2, 3, 0), 0).is_err());
     }
@@ -1893,7 +2000,7 @@ mod tests {
                 parts.centroids.to_vec(),
                 parts.assign.to_vec(),
                 parts.aux.clone(),
-                parts.codes.to_vec(),
+                parts.codes.clone(),
             )
             .unwrap();
             for q in [[0.4, 0.2], [5.0, 3.0], [2.5, 1.5]] {
@@ -1903,13 +2010,28 @@ mod tests {
         }
     }
 
-    /// The seed's scalar training, kept verbatim: the oracle the lane
-    /// kernel must match bit for bit.
+    /// The seed's scalar kernels, kept verbatim: the oracles the lane
+    /// kernels must match bit for bit.
     mod oracle {
         use super::super::{
-            coarse_residuals, pq_subspace_seed, sq_distance_row, PqCodec, KMEANS_ROUNDS,
+            coarse_residuals, pq_subspace_seed, Codec, IndexStats, ShardIndex, AUDIT_PERIOD,
+            KMEANS_ROUNDS,
         };
+        use crate::ScoredId;
         use duo_tensor::Rng64;
+        use duo_video::VideoId;
+
+        /// One row's squared Euclidean distance, accumulated in strictly
+        /// sequential element order — bit-identical to `Tensor::sq_distance` on
+        /// the same data.
+        pub(in super::super) fn sq_distance_row(row: &[f32], query: &[f32]) -> f32 {
+            let mut acc = 0.0f32;
+            for (a, b) in row.iter().zip(query) {
+                let d = a - b;
+                acc += d * d;
+            }
+            acc
+        }
 
         /// Seeded Lloyd k-means over a flattened row-major matrix. Every step is
         /// a pure function of `(data, seed)`: seeded sampling for the initial
@@ -1981,8 +2103,7 @@ mod tests {
         /// ([`pq_subspace_seed`]) on the rows' `dsub`-dim residual slices;
         /// encoding is a final explicit nearest-codeword pass (lowest index on
         /// ties) against the trained codebook, so codes are a pure function of
-        /// `(feats, seed)`.
-        #[allow(clippy::too_many_arguments)]
+        /// `(feats, seed)`. Returns the codebooks and the row-major codes.
         pub(super) fn train_pq(
             feats: &[f32],
             dim: usize,
@@ -1990,9 +2111,8 @@ mod tests {
             assign: &[u32],
             m_sub: usize,
             nbits: u32,
-            rerank: usize,
             seed: u64,
-        ) -> (PqCodec, Vec<u8>) {
+        ) -> (Vec<f32>, Vec<u8>) {
             let rows = assign.len();
             let dsub = dim / m_sub;
             let ksub = (1usize << nbits).min(rows);
@@ -2024,7 +2144,131 @@ mod tests {
                 }
                 codebooks[s * ksub * dsub..(s + 1) * ksub * dsub].copy_from_slice(&book);
             }
-            (PqCodec { m_sub, ksub, dsub, codebooks, rerank }, codes)
+            (codebooks, codes)
+        }
+
+        /// The serial search: every distance a [`sq_distance_row`] or a
+        /// serial ADC sum, every selection a full sort under the index's
+        /// total orders, the rerank tail the top `max(rerank, m)` ADC
+        /// candidates rescored exactly. Reads the PQ codebooks and codes
+        /// through `parts()`, in the `DUOINDX3` layout. Returns the answer
+        /// and the counters one search at query index `qidx` adds.
+        pub(in super::super) fn search(
+            index: &ShardIndex,
+            query: &[f32],
+            m: usize,
+            qidx: u64,
+        ) -> (Vec<ScoredId>, IndexStats) {
+            let mut delta = IndexStats { queries: 1, ..IndexStats::default() };
+            if index.ids.is_empty() || m == 0 {
+                return (Vec::new(), delta);
+            }
+            let dim = index.dim;
+            let row = |r: u32| &index.feats[r as usize * dim..(r as usize + 1) * dim];
+            let id = |r: u32| index.ids[r as usize];
+            let top_m = |mut scored: Vec<(f32, VideoId)>| {
+                scored.sort_by(|a, b| {
+                    a.0.total_cmp(&b.0)
+                        .then_with(|| (a.1.class, a.1.instance).cmp(&(b.1.class, b.1.instance)))
+                });
+                scored.truncate(m);
+                let scored = scored.into_iter().map(|(distance, id)| ScoredId { id, distance });
+                scored.collect::<Vec<_>>()
+            };
+            let all = 0..index.ids.len() as u32;
+            let exact = top_m(all.map(|r| (sq_distance_row(row(r), query), id(r))).collect());
+            let Some(ivf) = &index.ivf else {
+                delta.scanned_rows = index.ids.len() as u64;
+                return (exact, delta);
+            };
+            let centroid = |c: usize| &ivf.centroids[c * dim..(c + 1) * dim];
+            let mut order: Vec<(f32, usize)> =
+                (0..ivf.lists.len()).map(|c| (sq_distance_row(centroid(c), query), c)).collect();
+            order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let probed: Vec<usize> = order.iter().take(ivf.nprobe).map(|&(_, c)| c).collect();
+            delta.probed_lists = probed.len() as u64;
+            delta.scanned_rows = probed.iter().map(|&c| ivf.lists[c].len() as u64).sum();
+            let residual = |c: usize| -> Vec<f32> {
+                query.iter().zip(centroid(c)).map(|(q, x)| q - x).collect()
+            };
+            let parts = index.parts();
+            let mut candidates: Vec<(f32, u32)> = Vec::new();
+            let results = match &index.codec {
+                None => top_m(
+                    probed
+                        .iter()
+                        .flat_map(|&c| &ivf.lists[c])
+                        .map(|&r| (sq_distance_row(row(r), query), id(r)))
+                        .collect(),
+                ),
+                Some(codec) => {
+                    for &c in &probed {
+                        let rq = residual(c);
+                        match codec {
+                            Codec::Pq(pq) => {
+                                let (m_sub, ksub, dsub) = (pq.m_sub, pq.ksub, pq.dsub);
+                                let lut: Vec<f32> = (0..m_sub * ksub)
+                                    .map(|i| {
+                                        let word = &parts.aux[i * dsub..(i + 1) * dsub];
+                                        let s = i / ksub;
+                                        sq_distance_row(word, &rq[s * dsub..(s + 1) * dsub])
+                                    })
+                                    .collect();
+                                for &r in &ivf.lists[c] {
+                                    let code = &parts.codes[r as usize * m_sub..][..m_sub];
+                                    let mut adc = 0.0f32;
+                                    for (s, &k) in code.iter().enumerate() {
+                                        adc += lut[s * ksub + usize::from(k)];
+                                    }
+                                    candidates.push((adc, r));
+                                }
+                            }
+                            Codec::Sq8(sq) => {
+                                let tq: Vec<f32> =
+                                    rq.iter().zip(&sq.mins).map(|(t, min)| t - min).collect();
+                                let tail = dim - dim % 8;
+                                for &r in &ivf.lists[c] {
+                                    let code = &parts.codes[r as usize * dim..][..dim];
+                                    let term = |j: usize| {
+                                        let diff = tq[j] - sq.steps[j] * f32::from(code[j]);
+                                        diff * diff
+                                    };
+                                    let mut lanes = [0.0f32; 8];
+                                    for j in 0..tail {
+                                        lanes[j % 8] += term(j);
+                                    }
+                                    let mut acc = lanes.iter().sum::<f32>();
+                                    for j in tail..dim {
+                                        acc += term(j);
+                                    }
+                                    candidates.push((acc, r));
+                                }
+                            }
+                        }
+                    }
+                    let rerank = index.mode.rerank_depth();
+                    if rerank == 0 {
+                        top_m(candidates.iter().map(|&(d, r)| (d, id(r))).collect())
+                    } else {
+                        candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                        candidates.truncate(rerank.max(m));
+                        delta.reranked_rows = candidates.len() as u64;
+                        top_m(
+                            candidates
+                                .iter()
+                                .map(|&(_, r)| (sq_distance_row(row(r), query), id(r)))
+                                .collect(),
+                        )
+                    }
+                }
+            };
+            if qidx % AUDIT_PERIOD == 0 {
+                delta.audit_queries = 1;
+                delta.audit_hits =
+                    results.iter().filter(|s| exact.iter().any(|e| e.id == s.id)).count() as u64;
+                delta.audit_expected = exact.len() as u64;
+            }
+            (results, delta)
         }
     }
 
@@ -2091,10 +2335,10 @@ mod tests {
             assert_eq!(got_a, want_a, "coarse assignment, {what}");
             coarse_settled += usize::from(settled(&packed, &got_c, &got_a));
 
-            let (want_pq, want_codes) =
-                oracle::train_pq(&feats, dim, &want_c, &want_a, m_sub, nbits, 0, seed);
-            let (got_pq, got_codes) = train_pq(&packed, &got_c, &got_a, m_sub, nbits, 0, seed);
-            assert_eq!(bits(&got_pq.codebooks), bits(&want_pq.codebooks), "codebooks, {what}");
+            let (want_books, want_codes) =
+                oracle::train_pq(&feats, dim, &want_c, &want_a, m_sub, nbits, seed);
+            let (got_books, got_codes) = train_pq(&packed, &got_c, &got_a, m_sub, nbits, seed);
+            assert_eq!(bits(&got_books), bits(&want_books), "codebooks, {what}");
             assert_eq!(got_codes, want_codes, "codes, {what}");
 
             let sub = packed.residuals(&got_c, &got_a).columns(0..dsub);
@@ -2104,5 +2348,153 @@ mod tests {
         }
         assert!(coarse_settled > 0, "no coarse run reached a fixed point");
         assert!(subspace_capped > 0, "no subspace run was cut off by the round cap");
+    }
+
+    #[test]
+    fn candidate_keys_order_like_total_cmp_and_round_trip() {
+        let tiny = f32::MIN_POSITIVE / 2.0;
+        let values =
+            [f32::NEG_INFINITY, -1.5, -tiny, -0.0, 0.0, tiny, 1.0, f32::INFINITY, f32::NAN, -f32::NAN];
+        for &a in &values {
+            for &b in &values {
+                for (ra, rb) in [(0u32, 1u32), (1, 0), (7, 7)] {
+                    let want = a.total_cmp(&b).then(ra.cmp(&rb));
+                    let got = candidate_key(a, ra).cmp(&candidate_key(b, rb));
+                    assert_eq!(got, want, "({a}, {ra}) vs ({b}, {rb})");
+                }
+            }
+            let (d, row) = candidate_parts(candidate_key(a, u32::MAX));
+            assert_eq!((d.to_bits(), row), (a.to_bits(), u32::MAX));
+        }
+    }
+
+    /// Rows for the search sweep: [`sweep_rows`] data with some rows
+    /// copied over others (exact distance ties between distinct ids) and
+    /// about half the zeros negated (±0.0).
+    fn search_rows(rng: &mut Rng64, rows: usize, dim: usize) -> Vec<f32> {
+        let mut feats = sweep_rows(rng, rows, dim);
+        for _ in 0..rng.below(rows / 4 + 1) {
+            let (from, to) = (rng.below(rows), rng.below(rows));
+            feats.copy_within(from * dim..(from + 1) * dim, to * dim);
+        }
+        for x in &mut feats {
+            if *x == 0.0 && rng.below(2) == 0 {
+                *x = -*x;
+            }
+        }
+        feats
+    }
+
+    /// A sweep query: a gallery row with its zeros' signs flipped (exact
+    /// ties with the row and its duplicates), a perturbed row, a fresh
+    /// row, or the origin.
+    fn search_query(rng: &mut Rng64, feats: &[f32], dim: usize) -> Vec<f32> {
+        let rows = feats.len() / dim.max(1);
+        let pick = rng.below(4);
+        if rows > 0 && pick < 2 {
+            let row = &feats[rng.below(rows) * dim..][..dim];
+            if pick == 0 {
+                return row.iter().map(|&x| if x == 0.0 { -x } else { x }).collect();
+            }
+            return row.iter().map(|&x| x + (rng.uniform() - 0.5) * 0.25).collect();
+        }
+        if pick == 2 {
+            return sweep_rows(rng, 1, dim);
+        }
+        vec![0.0; dim]
+    }
+
+    fn scored_bits(list: &[ScoredId]) -> Vec<(VideoId, u32)> {
+        list.iter().map(|s| (s.id, s.distance.to_bits())).collect()
+    }
+
+    fn stats_delta(after: &IndexStats, before: &IndexStats) -> IndexStats {
+        IndexStats {
+            queries: after.queries - before.queries,
+            probed_lists: after.probed_lists - before.probed_lists,
+            scanned_rows: after.scanned_rows - before.scanned_rows,
+            reranked_rows: after.reranked_rows - before.reranked_rows,
+            audit_queries: after.audit_queries - before.audit_queries,
+            audit_hits: after.audit_hits - before.audit_hits,
+            audit_expected: after.audit_expected - before.audit_expected,
+        }
+    }
+
+    #[test]
+    fn search_is_bit_identical_to_the_serial_oracle() {
+        let mut rng = Rng64::new(0x5EA4C);
+        let (mut empty_lists, mut short_lists, mut long_lists, mut ksub_capped) = (0, 0, 0, 0);
+        for case in 0..96u64 {
+            // Row counts include 0, counts off both lane widths, and
+            // counts below nlist / 2^nbits.
+            let rows = match case % 4 {
+                0 => rng.below(CODE_LANES + 1),
+                1 => rng.below(4 * SCAN_LANES),
+                _ => rng.below(601),
+            };
+            let dsub = 1 + rng.below(16);
+            let m_sub = 1 + rng.below(64 / dsub);
+            let dim = m_sub * dsub;
+            let nlist = 1 + rng.below(16);
+            let nprobe = 1 + rng.below(nlist);
+            let nbits = 1 + rng.below(8) as u32;
+            let m = 1 + rng.below(24);
+            // No rerank, a tail no deeper than m, or one deeper than the
+            // shard.
+            let rerank = match rng.below(3) {
+                0 => 0,
+                1 => 1 + rng.below(m),
+                _ => rows + 1 + rng.below(64),
+            };
+            let seed = rng.below(1 << 30) as u64;
+            let feats = search_rows(&mut rng, rows, dim);
+            // Ids out of row order, so (distance, id) and (distance, row)
+            // ties resolve differently.
+            let ids: Vec<VideoId> = (0..rows as u32)
+                .map(|r| VideoId { class: rng.below(64) as u32, instance: r })
+                .collect();
+            let what = format!(
+                "case {case}: {rows}x{dim} (dsub {dsub}) nlist {nlist} nprobe {nprobe} \
+                 nbits {nbits} m {m} rerank {rerank}"
+            );
+            for mode in [
+                IndexMode::Exact,
+                IndexMode::ivf(nlist, nprobe),
+                IndexMode::pq(nlist, nprobe, m_sub, nbits, rerank),
+                IndexMode::sq8(nlist, nprobe, rerank),
+            ] {
+                let index =
+                    ShardIndex::build_from_rows(ids.clone(), feats.clone(), dim, mode, seed)
+                        .unwrap();
+                if let Some(ivf) = &index.ivf {
+                    for list in &ivf.lists {
+                        empty_lists += usize::from(list.is_empty());
+                        short_lists += usize::from(!list.is_empty() && list.len() < CODE_LANES);
+                        long_lists += usize::from(
+                            list.len() > CODE_LANES && list.len() % CODE_LANES != 0,
+                        );
+                    }
+                }
+                if let Some(Codec::Pq(pq)) = &index.codec {
+                    ksub_capped += usize::from(pq.ksub < 1 << nbits);
+                }
+                for _ in 0..AUDIT_PERIOD + 2 {
+                    let query = search_query(&mut rng, &feats, dim);
+                    let before = index.stats();
+                    let got = index.search(&query, m);
+                    let (want, want_delta) = oracle::search(&index, &query, m, before.queries);
+                    assert_eq!(scored_bits(&got), scored_bits(&want), "{mode:?}, {what}");
+                    assert_eq!(
+                        stats_delta(&index.stats(), &before),
+                        want_delta,
+                        "{mode:?} counters, {what}"
+                    );
+                }
+            }
+        }
+        assert!(empty_lists > 0, "no empty inverted list");
+        assert!(short_lists > 0, "no list shorter than a code panel");
+        assert!(long_lists > 0, "no list ending in a partial panel after a full one");
+        assert!(ksub_capped > 0, "no PQ codebook capped below 2^nbits");
     }
 }

@@ -417,7 +417,7 @@ impl GalleryIndex {
             }
             write_section(3, &assign, &mut buf);
             write_section(4, &f32_bytes(&parts.aux), &mut buf);
-            write_section(5, parts.codes, &mut buf);
+            write_section(5, &parts.codes, &mut buf);
             sections.push(entry);
         }
         // Patch the directory.
@@ -1021,6 +1021,33 @@ mod tests {
                 "truncation at {cut} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn v3_rejects_pq_codes_outside_the_codebook() {
+        let (sys, _) = compressed_system(IndexMode::pq(3, 2, 2, 4, 8));
+        let (_, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
+        // Shard 0's directory entry follows the 88-byte header: `rows`,
+        // then (offset, len) per section; codes are section 5, codebooks
+        // (aux) section 4.
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let section = |slot: usize| (word(88 + 8 + slot * 16), word(88 + 16 + slot * 16));
+        let (codes_at, codes_len) = section(5);
+        let (_, aux_len) = section(4);
+        let m_sub = 2;
+        let dim = word(64);
+        let ksub = aux_len / 4 / (m_sub * (dim / m_sub));
+        assert!(codes_len > 0 && ksub > 1 && ksub <= 16);
+        let load = |image: &[u8]| {
+            let mut rng = Rng64::new(7);
+            let b = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+            RetrievalSystem::from_v3_bytes(b, image, RetrievalConfig::default())
+        };
+        let mut patched = bytes.clone();
+        patched[codes_at + codes_len - 1] = (ksub - 1) as u8;
+        assert!(load(&patched).is_ok(), "the last codeword is in range");
+        patched[codes_at + codes_len - 1] = ksub as u8;
+        assert!(load(&patched).is_err(), "code {ksub} names no codeword");
     }
 
     #[test]

@@ -20,9 +20,18 @@ use duo_tensor::Tensor;
 use duo_video::{Video, VideoId};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Locks `mutex`, recovering the guard if a panicking thread poisoned it.
+/// Every critical section here updates counters, a ledger or a detector
+/// one complete step at a time, so the data is valid at every point a
+/// panic could leave it, and one panicked request must not fail every
+/// later one.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Per-client accounting: the paper's query-budget threat model mapped
 /// onto serving-side admission.
@@ -153,7 +162,7 @@ impl RetrievalService {
         budget: Option<u64>,
         rate: Option<crate::RateLimit>,
     ) -> ClientHandle {
-        let mut clients = self.shared.clients.lock().expect("clients lock");
+        let mut clients = lock(&self.shared.clients);
         let slot = clients.len();
         clients.push(ClientAccount {
             ledger: QueryLedger::new(budget),
@@ -178,7 +187,7 @@ impl RetrievalService {
     /// deadline sheds refund — this is the budget-drift invariant the
     /// campaign experiment asserts fleet-wide.
     pub fn client_stats(&self) -> Vec<ClientStats> {
-        let clients = self.shared.clients.lock().expect("clients lock");
+        let clients = lock(&self.shared.clients);
         clients.iter().map(ClientAccount::snapshot).collect()
     }
 
@@ -188,7 +197,7 @@ impl RetrievalService {
         let index = self.shared.system.index_breakdown();
         let epoch = self.shared.system.current_epoch();
         let mutation = self.shared.system.mutation_stats();
-        self.shared.stats.lock().expect("stats lock").snapshot(queue_depth, index, epoch, mutation)
+        lock(&self.shared.stats).snapshot(queue_depth, index, epoch, mutation)
     }
 
     /// Hands out the mutation control plane for the served gallery.
@@ -229,8 +238,7 @@ impl RetrievalService {
         let index = self.shared.system.index_breakdown();
         let epoch = self.shared.system.current_epoch();
         let mutation = self.shared.system.mutation_stats();
-        let stats =
-            self.shared.stats.lock().expect("stats lock").snapshot(queue_depth, index, epoch, mutation);
+        let stats = lock(&self.shared.stats).snapshot(queue_depth, index, epoch, mutation);
         match Arc::try_unwrap(self.shared) {
             Ok(shared) => (Some(shared.system), stats),
             Err(_) => (None, stats),
@@ -280,14 +288,14 @@ fn batcher_loop(
 /// miss, and replies [`ServeError::DeadlineExceeded`].
 fn shed(shared: &Shared, request: Request) {
     {
-        let mut clients = shared.clients.lock().expect("clients lock");
+        let mut clients = lock(&shared.clients);
         let account = &mut clients[request.slot];
         account.ledger.refund();
         account.stats.deadline_misses += 1;
         account.stats.refunded += 1;
     }
     {
-        let mut stats = shared.stats.lock().expect("stats lock");
+        let mut stats = lock(&shared.stats);
         stats.deadline_misses += 1;
         stats.refunded += 1;
     }
@@ -320,7 +328,7 @@ fn flush_batch(shared: &Shared, batch: Vec<Request>, work_tx: &SyncSender<Work>,
             for request in &mut batch {
                 request.video = defense.purify.apply(&request.video);
             }
-            shared.stats.lock().expect("stats lock").purified += batch.len() as u64;
+            lock(&shared.stats).purified += batch.len() as u64;
             let now = Instant::now();
             let (kept, dead): (Vec<Request>, Vec<Request>) =
                 batch.into_iter().partition(|r| !expired(r, now));
@@ -334,7 +342,7 @@ fn flush_batch(shared: &Shared, batch: Vec<Request>, work_tx: &SyncSender<Work>,
         }
     }
     {
-        let mut stats = shared.stats.lock().expect("stats lock");
+        let mut stats = lock(&shared.stats);
         stats.batches += 1;
         stats.batch_hist[batch.len().min(config.batch_max)] += 1;
     }
@@ -364,10 +372,8 @@ fn flush_batch(shared: &Shared, batch: Vec<Request>, work_tx: &SyncSender<Work>,
                         }
                     }
                     Err(e) => {
-                        shared.clients.lock().expect("clients lock")[request.slot]
-                            .stats
-                            .failed += 1;
-                        shared.stats.lock().expect("stats lock").failed += 1;
+                        lock(&shared.clients)[request.slot].stats.failed += 1;
+                        lock(&shared.stats).failed += 1;
                         let _ = request.reply.send(Err(ServeError::Retrieval(e)));
                     }
                 }
@@ -380,7 +386,7 @@ fn worker_loop(shared: &Shared, work_rx: &Mutex<Receiver<Work>>) {
     loop {
         // Hold the receiver lock only for the blocking take, never while
         // doing model work.
-        let work = match work_rx.lock().expect("work lock").recv() {
+        let work = match lock(work_rx).recv() {
             Ok(work) => work,
             Err(_) => break,
         };
@@ -393,7 +399,7 @@ fn worker_loop(shared: &Shared, work_rx: &Mutex<Receiver<Work>>) {
         let outcome = shared.system.retrieve_resilient(&work.feature);
         let latency_us = work.request.enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
         let result = {
-            let mut stats = shared.stats.lock().expect("stats lock");
+            let mut stats = lock(&shared.stats);
             match outcome {
                 Ok(retrieved) => {
                     stats.served += 1;
@@ -412,7 +418,7 @@ fn worker_loop(shared: &Shared, work_rx: &Mutex<Receiver<Work>>) {
             }
         };
         {
-            let mut clients = shared.clients.lock().expect("clients lock");
+            let mut clients = lock(&shared.clients);
             let stats = &mut clients[work.request.slot].stats;
             if result.is_ok() {
                 stats.served += 1;
@@ -498,20 +504,20 @@ impl ClientHandle {
             // The admission decision (budget check → rate check → enqueue
             // → charge) is atomic under the clients lock; `try_send` never
             // blocks, so the lock is held only briefly.
-            let mut clients = shared.clients.lock().expect("clients lock");
+            let mut clients = lock(&shared.clients);
             let account = &mut clients[self.slot];
             if account.ledger.is_exhausted() {
                 let budget = account.ledger.budget().expect("exhausted implies budget");
                 account.stats.rejected_budget += 1;
                 drop(clients);
-                shared.stats.lock().expect("stats lock").rejected_budget += 1;
+                lock(&shared.stats).rejected_budget += 1;
                 return Err(ServeError::BudgetExhausted { budget });
             }
             if let Some(bucket) = &mut account.bucket {
                 if let Err(retry_after_ms) = bucket.ready() {
                     account.stats.rejected_rate += 1;
                     drop(clients);
-                    shared.stats.lock().expect("stats lock").rejected_rate += 1;
+                    lock(&shared.stats).rejected_rate += 1;
                     return Err(ServeError::RateLimited { retry_after_ms });
                 }
             }
@@ -529,7 +535,7 @@ impl ClientHandle {
                     account.stats.defense_flagged += 1;
                 }
                 {
-                    let mut stats = shared.stats.lock().expect("stats lock");
+                    let mut stats = lock(&shared.stats);
                     stats.defense_observed += 1;
                     if verdict.flagged {
                         stats.defense_flagged += 1;
@@ -540,13 +546,13 @@ impl ClientHandle {
                     DetectorAction::Throttle => {
                         account.stats.defense_throttled += 1;
                         drop(clients);
-                        shared.stats.lock().expect("stats lock").defense_throttled += 1;
+                        lock(&shared.stats).defense_throttled += 1;
                         return Err(ServeError::Throttled { flags: verdict.flags_total });
                     }
                     DetectorAction::Reject => {
                         account.stats.defense_rejected += 1;
                         drop(clients);
-                        shared.stats.lock().expect("stats lock").defense_rejected += 1;
+                        lock(&shared.stats).defense_rejected += 1;
                         return Err(ServeError::Quarantined { flags: verdict.flags_total });
                     }
                 }
@@ -570,14 +576,14 @@ impl ClientHandle {
                     if let Some(bucket) = &mut account.bucket {
                         bucket.take();
                     }
-                    let mut stats = shared.stats.lock().expect("stats lock");
+                    let mut stats = lock(&shared.stats);
                     stats.max_queue_depth = stats.max_queue_depth.max(depth);
                 }
                 Err(TrySendError::Full(_)) => {
                     shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
                     account.stats.rejected_overload += 1;
                     drop(clients);
-                    shared.stats.lock().expect("stats lock").rejected_overload += 1;
+                    lock(&shared.stats).rejected_overload += 1;
                     return Err(ServeError::Overloaded { queue_cap: self.queue_cap });
                 }
                 Err(TrySendError::Disconnected(_)) => {
@@ -593,7 +599,7 @@ impl ClientHandle {
     pub fn queries_used(&self) -> u64 {
         self.shared
             .upgrade()
-            .map(|s| s.clients.lock().expect("clients lock")[self.slot].ledger.used())
+            .map(|s| lock(&s.clients)[self.slot].ledger.used())
             .unwrap_or(0)
     }
 
@@ -601,14 +607,14 @@ impl ClientHandle {
     pub fn budget_remaining(&self) -> Option<u64> {
         self.shared
             .upgrade()
-            .and_then(|s| s.clients.lock().expect("clients lock")[self.slot].ledger.remaining())
+            .and_then(|s| lock(&s.clients)[self.slot].ledger.remaining())
     }
 
     /// This client's counter snapshot, or `None` after shutdown.
     pub fn stats(&self) -> Option<ClientStats> {
         self.shared
             .upgrade()
-            .map(|s| s.clients.lock().expect("clients lock")[self.slot].snapshot())
+            .map(|s| lock(&s.clients)[self.slot].snapshot())
     }
 
     /// This client's recorded streaming-defense verdicts, in submission
@@ -617,7 +623,7 @@ impl ClientHandle {
     /// [`duo_defenses::StreamConfig::record_verdicts`].
     pub fn defense_verdicts(&self) -> Option<Vec<StreamVerdict>> {
         let shared = self.shared.upgrade()?;
-        let clients = shared.clients.lock().expect("clients lock");
+        let clients = lock(&shared.clients);
         let detector = clients[self.slot].detector.as_ref()?;
         detector.config().record_verdicts.then(|| detector.verdicts().to_vec())
     }
@@ -626,7 +632,7 @@ impl ClientHandle {
     /// `None` when the service is undefended or shut down.
     pub fn defense_flags(&self) -> Option<u64> {
         let shared = self.shared.upgrade()?;
-        let clients = shared.clients.lock().expect("clients lock");
+        let clients = lock(&shared.clients);
         clients[self.slot].detector.as_ref().map(StreamDetector::flags)
     }
 
@@ -714,5 +720,75 @@ impl MutatorHandle {
     /// The served gallery's current epoch, or `None` after shutdown.
     pub fn current_epoch(&self) -> Option<u64> {
         self.shared.upgrade().map(|s| s.system.current_epoch())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use duo_models::{Architecture, Backbone, BackboneConfig};
+    use duo_retrieval::RetrievalConfig;
+    use duo_tensor::Rng64;
+    use duo_video::{ClipSpec, DatasetKind, SyntheticDataset};
+    use std::time::Duration;
+
+    /// Poisons `mutex`: a thread panics while holding it.
+    fn poison<T: Send>(mutex: &Mutex<T>) {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = mutex.lock();
+                panic!("poisoning the lock on purpose");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(mutex.is_poisoned());
+    }
+
+    #[test]
+    fn poisoned_locks_keep_the_service_serving() {
+        let mut rng = Rng64::new(881);
+        let ds =
+            SyntheticDataset::subsampled(DatasetKind::Hmdb51Like, ClipSpec::tiny(), 881, 2, 1);
+        let gallery: Vec<VideoId> = ds.train().iter().filter(|id| id.class < 6).copied().collect();
+        let backbone = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+        let config = RetrievalConfig { m: 5, nodes: 2, ..RetrievalConfig::default() };
+        let system = RetrievalSystem::build(backbone, &ds, &gallery, config).unwrap();
+        let videos: Vec<Video> = ds.test().iter().take(3).map(|&id| ds.video(id)).collect();
+        let config = ServeConfig { workers: 2, ..ServeConfig::default() };
+        let service = RetrievalService::start(system, config).unwrap();
+        let client = service.client(Some(100), None);
+        let expected = client.retrieve(&videos[0]).unwrap();
+
+        poison(&service.shared.stats);
+        poison(&service.shared.clients);
+        for video in &videos {
+            client.retrieve(video).unwrap();
+        }
+        assert_eq!(client.retrieve(&videos[0]).unwrap(), expected);
+        let shed = client.retrieve_with_deadline(&videos[1], Duration::ZERO);
+        assert!(matches!(shed, Err(ServeError::DeadlineExceeded)), "{shed:?}");
+
+        // A worker keeps draining a poisoned work queue. The request skips
+        // admission, so charge it here as admission would have.
+        let (work_tx, work_rx) = mpsc::sync_channel(1);
+        let work_rx = Mutex::new(work_rx);
+        poison(&work_rx);
+        lock(&service.shared.clients)[0].ledger.charge().unwrap();
+        let feature = service.system().embed(&videos[2]).unwrap();
+        let (reply, replied) = mpsc::sync_channel(1);
+        let video = videos[2].clone();
+        let request = Request { video, enqueued: Instant::now(), deadline: None, slot: 0, reply };
+        work_tx.send(Work { request, feature }).unwrap();
+        drop(work_tx);
+        worker_loop(&service.shared, &work_rx);
+        assert!(replied.recv().unwrap().is_ok());
+
+        let mine = client.stats().unwrap();
+        assert_eq!((mine.served, mine.failed, mine.deadline_misses), (6, 0, 1));
+        assert_eq!(mine.charged, mine.served + mine.failed);
+        assert_eq!(mine.refunded, mine.deadline_misses);
+        let stats = service.shutdown();
+        assert_eq!((stats.served, stats.failed), (6, 0));
+        assert_eq!(stats.refunded, stats.deadline_misses);
     }
 }

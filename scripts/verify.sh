@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
+# The index crate's oracle tests again, at the release profile: opt-level
+# 3 with target-cpu=native is the code the service runs, and a lane
+# kernel's vectorization (and so any float-order slip in it) can differ
+# from the test profile's opt-level 2.
+cargo test -q --release --offline -p duo-retrieval --lib
 
 # End-to-end benchmark: a package of its own (e2e_bench/, outside the
 # workspace) that drives the crates through their public APIs. Building
