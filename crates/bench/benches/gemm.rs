@@ -28,8 +28,9 @@
 //! rules in `BENCH_thresholds.txt`.
 //!
 //! Results land in `BENCH_gemm.json` at the repo root; `DUO_SCALE=smoke`
-//! shrinks shapes and samples for the verify gate. This host has a
-//! single core, so the `threadsN` rows measure kernel quality plus
+//! shrinks shapes and samples for the verify gate and writes under
+//! `target/bench-smoke/` instead. On a single-core host the `threadsN`
+//! rows measure kernel quality plus
 //! dispatch overhead, not parallel scaling — they beat `serial_blocked`
 //! because the packed kernel is wider and reuses the packed panels, and
 //! the ring dispatch stays cheap enough not to give that margin back.

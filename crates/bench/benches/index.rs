@@ -43,14 +43,16 @@
 //! The gallery is clustered (points = cluster center + small noise, the
 //! regime IVF is built for, and roughly what a trained metric embedding
 //! produces) and queries are perturbed gallery points. `DUO_SCALE=smoke`
-//! shrinks sizes/dim for the tier-1 gate in `scripts/verify.sh`; both
-//! scales write `BENCH_index.json` at the repo root for `bench_check`.
+//! shrinks sizes/dim for the tier-1 gate in `scripts/verify.sh` and
+//! writes `BENCH_index.json` under `target/bench-smoke/`; the full scale
+//! writes it at the repo root. `bench_check` reads either.
 
 use duo_bench::{BenchResult, Runner};
 use duo_retrieval::{recall_at_m, IndexMode, ScoredId, ShardIndex};
 use duo_tensor::{Rng64, Tensor};
 use duo_video::VideoId;
 use std::hint::black_box;
+use std::time::Instant;
 
 const TOP_M: usize = 10;
 /// Coprime with the index's 16-search audit period, so the every-16th
@@ -148,20 +150,6 @@ fn main() {
         let qs = queries(&entries, n as u64);
         let exact = ShardIndex::build(&entries, IndexMode::Exact, 0).unwrap();
 
-        runner.bench_function(&format!("index/seed_scan_{n}"), |bench| {
-            bench.iter(|| {
-                for q in &qs {
-                    black_box(seed_scan(&entries, q, TOP_M));
-                }
-            })
-        });
-        runner.bench_function(&format!("index/exact_soa_{n}"), |bench| {
-            bench.iter(|| {
-                for q in &qs {
-                    black_box(exact.search(q.as_slice(), TOP_M));
-                }
-            })
-        });
         extra.push(BenchResult::from_times(
             &format!("index/exact_bytes_per_vec_{n}"),
             vec![exact.scan_bytes_per_row()],
@@ -173,20 +161,16 @@ fn main() {
             .map(|q| exact.search(q.as_slice(), TOP_M).into_iter().map(|s| s.id).collect())
             .collect();
 
+        // Every timed index after the seed scan, in artifact order.
+        let mut timed = vec![(format!("index/exact_soa_{n}"), exact)];
         let nlist = (n / 100).clamp(4, 64);
         for nprobe in [nlist / 8, nlist / 4].into_iter().filter(|&p| p >= 1) {
             let ivf =
                 ShardIndex::build(&entries, IndexMode::ivf(nlist, nprobe), 7).unwrap();
             let recall = measured_recall(&ivf, &qs, &exact_ids);
             let name = format!("index/ivf_{n}_nlist{nlist}_nprobe{nprobe}");
-            runner.bench_function(&name, |bench| {
-                bench.iter(|| {
-                    for q in &qs {
-                        black_box(ivf.search(q.as_slice(), TOP_M));
-                    }
-                })
-            });
             println!("  {name}: recall@{TOP_M} {recall:.4} over {QUERIES} queries");
+            timed.push((name, ivf));
         }
 
         // Compressed modes at the headline code shape: dim/8 subspaces of
@@ -198,17 +182,38 @@ fn main() {
             ("pq", IndexMode::pq(nlist, nprobe, m_sub, 8, 64)),
             ("sq8", IndexMode::sq8(nlist, nprobe, 64)),
         ];
+        let first_compressed = timed.len();
+        let mut recalls = Vec::new();
         for (tag, mode) in compressed {
             let idx = ShardIndex::build(&entries, mode, 7).unwrap();
-            let recall = measured_recall(&idx, &qs, &exact_ids);
-            let name = format!("index/{tag}_{n}_nlist{nlist}_nprobe{nprobe}");
-            runner.bench_function(&name, |bench| {
-                bench.iter(|| {
-                    for q in &qs {
-                        black_box(idx.search(q.as_slice(), TOP_M));
-                    }
-                })
-            });
+            recalls.push(measured_recall(&idx, &qs, &exact_ids));
+            timed.push((format!("index/{tag}_{n}_nlist{nlist}_nprobe{nprobe}"), idx));
+        }
+
+        // The threshold rules compare these entries with each other, so
+        // they are sampled interleaved: host drift lands on all alike.
+        let seed_name = format!("index/seed_scan_{n}");
+        let names: Vec<&str> = std::iter::once(seed_name.as_str())
+            .chain(timed.iter().map(|(name, _)| name.as_str()))
+            .collect();
+        runner.bench_interleaved(&names, |entry| {
+            let start = Instant::now();
+            if entry == 0 {
+                for q in &qs {
+                    black_box(seed_scan(&entries, q, TOP_M));
+                }
+            } else {
+                let idx = &timed[entry - 1].1;
+                for q in &qs {
+                    black_box(idx.search(q.as_slice(), TOP_M));
+                }
+            }
+            start.elapsed().as_secs_f64()
+        });
+
+        for (((tag, _), (name, idx)), recall) in
+            compressed.iter().zip(&timed[first_compressed..]).zip(recalls)
+        {
             let stats = idx.stats();
             let audited = stats.recall_at_m().unwrap_or_else(|| {
                 panic!("index/{tag}_{n}: no recall audits fired across the timed runs")

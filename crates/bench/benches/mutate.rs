@@ -25,6 +25,7 @@ use duo_retrieval::{GalleryIndex, RetrievalConfig, RetrievalSystem, ScoredId};
 use duo_tensor::{Rng64, Tensor};
 use duo_video::VideoId;
 use std::hint::black_box;
+use std::time::Instant;
 
 const ROWS: usize = 2048;
 const DIM: usize = 64;
@@ -75,9 +76,13 @@ fn bench_mutate(c: &mut Runner) {
     let (system, queries) = build_system();
 
     // Baseline: pin every shard generation once, query the snapshots.
+    // Full epoch path: gate + per-query Arc clones + resilient fan-out.
+    // The two are sampled interleaved, so host drift cannot land on one
+    // side of the `epoch_query <= 1.05 * frozen_query` rule.
     let snaps: Vec<_> = system.nodes().iter().map(|n| n.snapshot()).collect();
-    c.bench_function("mutate/frozen_query", |bench| {
-        bench.iter(|| {
+    c.bench_interleaved(&["mutate/frozen_query", "mutate/epoch_query"], |entry| {
+        let start = Instant::now();
+        if entry == 0 {
             for q in &queries {
                 let mut merged = Vec::new();
                 for snap in &snaps {
@@ -85,16 +90,12 @@ fn bench_mutate(c: &mut Runner) {
                 }
                 black_box(merge(merged, M));
             }
-        })
-    });
-
-    // Full epoch path: gate + per-query Arc clones + resilient fan-out.
-    c.bench_function("mutate/epoch_query", |bench| {
-        bench.iter(|| {
+        } else {
             for q in &queries {
                 black_box(system.retrieve_resilient(q).unwrap().ids);
             }
-        })
+        }
+        start.elapsed().as_secs_f64()
     });
 
     // Sanity: the two paths rank identically on this fault-free system.

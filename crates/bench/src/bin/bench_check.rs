@@ -4,8 +4,9 @@
 //!
 //! 1. **Structure** — each `BENCH_*.json` file (default: `BENCH_gemm.json`,
 //!    `BENCH_serve.json`, `BENCH_campaign.json`, `BENCH_mutate.json`,
-//!    `BENCH_index.json`, and `BENCH_defense.json` at the repo root; or
-//!    explicit paths as arguments) exists, parses as JSON, and carries
+//!    `BENCH_index.json`, and `BENCH_defense.json` at the repo root, or
+//!    under `target/bench-smoke/` when `DUO_SCALE=smoke`; or explicit
+//!    paths as arguments) exists, parses as JSON, and carries
 //!    every required result field (`name`, `samples`, `min_s`,
 //!    `median_s`, `p95_s`, `mean_s`, `trimmed_mean_s`, `max_s`).
 //! 2. **Performance** — the committed rules in `BENCH_thresholds.txt` at
@@ -62,10 +63,8 @@ fn main() {
         }
     }
 
-    let rules_path = duo_bench::repo_root_bench_path("gemm")
-        .parent()
-        .map(|root| root.join("BENCH_thresholds.txt"))
-        .expect("artifact path has a parent");
+    let rules_path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_thresholds.txt");
     match std::fs::read_to_string(&rules_path) {
         Err(e) => {
             eprintln!("bench_check: {}: {e}", rules_path.display());

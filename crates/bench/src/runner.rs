@@ -185,12 +185,15 @@ impl Runner {
         }
     }
 
+    /// Whether `name` passes the name filter.
+    fn selected(&self, name: &str) -> bool {
+        self.filter.as_ref().is_none_or(|f| name.contains(f.as_str()))
+    }
+
     /// Runs one benchmark (unless filtered out) and records its result.
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        if let Some(filter) = &self.filter {
-            if !name.contains(filter.as_str()) {
-                return self;
-            }
+        if !self.selected(name) {
+            return self;
         }
         let mut bencher = Bencher {
             warmup_iters: self.warmup_iters,
@@ -201,6 +204,38 @@ impl Runner {
         let result = BenchResult::from_times(name, bencher.times_s);
         result.print();
         self.results.push(result);
+        self
+    }
+
+    /// Times benchmarks that are compared with each other, interleaved:
+    /// each round takes one sample of every entry, round-robin from a
+    /// start that rotates by one per round, so drift in the host's speed
+    /// lands on every entry alike instead of on whichever ran last.
+    /// `sample(i)` runs one sample of `names[i]`, with any untimed setup
+    /// and teardown of its own, and returns the timed part in seconds.
+    /// Entries outside the name filter are skipped; results are recorded
+    /// in `names` order.
+    pub fn bench_interleaved(
+        &mut self,
+        names: &[&str],
+        mut sample: impl FnMut(usize) -> f64,
+    ) -> &mut Self {
+        let entries: Vec<usize> = (0..names.len()).filter(|&i| self.selected(names[i])).collect();
+        let mut times_s = vec![Vec::with_capacity(self.sample_size); names.len()];
+        for round in 0..self.warmup_iters + self.sample_size {
+            for k in 0..entries.len() {
+                let entry = entries[(round + k) % entries.len()];
+                let t = sample(entry);
+                if round >= self.warmup_iters {
+                    times_s[entry].push(t);
+                }
+            }
+        }
+        for entry in entries {
+            let result = BenchResult::from_times(names[entry], std::mem::take(&mut times_s[entry]));
+            result.print();
+            self.results.push(result);
+        }
         self
     }
 
@@ -222,17 +257,18 @@ impl Runner {
     }
 }
 
-/// The canonical location of an emitted bench artifact: `BENCH_<tag>.json`
-/// at the repository root (two levels above this crate), where
-/// `scripts/verify.sh` and the `bench_check` binary look for it.
+/// The canonical location of an emitted bench artifact, where benches
+/// write it and the `bench_check` binary looks for it by default:
+/// `BENCH_<tag>.json` at the repository root, or under
+/// `target/bench-smoke/` when `DUO_SCALE=smoke`
+/// ([`duo_experiments::Scale::bench_artifact_path`]).
 pub fn repo_root_bench_path(tag: &str) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(format!("BENCH_{tag}.json"))
+    duo_experiments::Scale::from_env().bench_artifact_path(tag)
 }
 
 /// Writes `results` to `path` as a JSON array of result objects
-/// (the same format `DUO_BENCH_JSON` emission uses).
+/// (the same format `DUO_BENCH_JSON` emission uses), creating the
+/// directory first if needed.
 ///
 /// # Errors
 ///
@@ -241,6 +277,9 @@ pub fn write_bench_json(
     path: &std::path::Path,
     results: &[BenchResult],
 ) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
     let json = Json::Array(results.iter().map(ToJson::to_json).collect());
     std::fs::write(path, format!("{json}\n"))
 }
@@ -330,6 +369,35 @@ mod tests {
         runner.bench_function("unit/drop_me", |b| b.iter(|| ()));
         assert_eq!(runner.results().len(), 1);
         assert_eq!(runner.results()[0].name, "unit/keep_me");
+    }
+
+    #[test]
+    fn interleaved_entries_rotate_their_start_and_skip_warmup() {
+        let mut runner = Runner::default().sample_size(3).warmup_iters(1);
+        let mut order = Vec::new();
+        runner.bench_interleaved(&["unit/a", "unit/b", "unit/c"], |i| {
+            order.push(i);
+            i as f64
+        });
+        assert_eq!(order, [0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2]);
+        let names: Vec<&str> = runner.results().iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["unit/a", "unit/b", "unit/c"]);
+        for (i, r) in runner.results().iter().enumerate() {
+            assert_eq!((r.samples, r.min_s, r.max_s), (3, i as f64, i as f64));
+        }
+    }
+
+    #[test]
+    fn interleaved_entries_honor_the_filter() {
+        let mut runner = Runner::default().sample_size(2).warmup_iters(0).filter("keep");
+        let mut order = Vec::new();
+        runner.bench_interleaved(&["unit/drop", "unit/keep"], |i| {
+            order.push(i);
+            0.0
+        });
+        assert_eq!(order, [1, 1]);
+        assert_eq!(runner.results().len(), 1);
+        assert_eq!(runner.results()[0].name, "unit/keep");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! fleet of concurrent metered clients against duo-serve, asserts exact
 //! fleet-wide budget accounting and bit-identical seeded replay, and
 //! writes the leaderboard to BENCH_campaign.json (set DUO_SCALE=smoke
-//! for a fast pass).
+//! for a fast pass, which writes under target/bench-smoke/).
 
 fn main() {
     let scale = duo_experiments::Scale::from_env();

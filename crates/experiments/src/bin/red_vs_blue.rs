@@ -2,7 +2,8 @@
 //! stage armed: an undefended baseline fleet, two byte-identical
 //! defended runs with a benign control lane (written to
 //! BENCH_defense.json), and a fault-injected accounting phase (set
-//! DUO_SCALE=smoke for a fast pass).
+//! DUO_SCALE=smoke for a fast pass, which writes under
+//! target/bench-smoke/).
 
 fn main() {
     let scale = duo_experiments::Scale::from_env();

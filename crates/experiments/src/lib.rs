@@ -113,6 +113,17 @@ impl Scale {
         }
     }
 
+    /// Where the `BENCH_<tag>.json` artifact of a run at this scale
+    /// lives (`Scale::from_env().bench_artifact_path(tag)` follows
+    /// `DUO_SCALE`). Smoke runs write under `target/bench-smoke/`, so a
+    /// tier-1 run never overwrites the committed full-scale artifacts at
+    /// the repository root; every other scale writes the root.
+    pub fn bench_artifact_path(&self, tag: &str) -> std::path::PathBuf {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let dir = if self.name == "smoke" { root.join("target/bench-smoke") } else { root };
+        dir.join(format!("BENCH_{tag}.json"))
+    }
+
     /// The paper's pixel budget `k = 40K` mapped onto this scale.
     pub fn default_k(&self) -> usize {
         self.clip.scale_budget(40_000)

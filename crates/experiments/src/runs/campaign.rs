@@ -166,9 +166,8 @@ pub fn run(scale: Scale) -> RunResult {
         replay.leaderboard.to_bench_json(),
         "same campaign seed must replay to byte-identical leaderboard JSON"
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_campaign.json");
+    let path = scale.bench_artifact_path("campaign");
+    std::fs::create_dir_all(path.parent().expect("artifact path has a directory"))?;
     std::fs::write(&path, &json)?;
     println!("\nleaderboard replayed byte-identically; written to {}", path.display());
 

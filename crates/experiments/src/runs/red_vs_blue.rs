@@ -309,9 +309,8 @@ pub fn run(scale: Scale) -> RunResult {
         artifact, replay,
         "same-seed defended runs must emit byte-identical BENCH_defense.json"
     );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_defense.json");
+    let path = scale.bench_artifact_path("defense");
+    std::fs::create_dir_all(path.parent().expect("artifact path has a directory"))?;
     std::fs::write(&path, &artifact)?;
     println!("\ndefense artifact replayed byte-identically; written to {}", path.display());
 

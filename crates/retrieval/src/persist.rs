@@ -611,7 +611,7 @@ impl RetrievalSystem {
                 *s = (cur.u64()?, cur.u64()?);
             }
             let ids_raw = v3_section(bytes, sections[0].0, sections[0].1)?;
-            if ids_raw.len() != rows * 8 {
+            if rows.checked_mul(8) != Some(ids_raw.len()) {
                 return Err(RetrievalError::BadConfig(format!(
                     "shard {shard}: id section holds {} bytes for {rows} rows",
                     ids_raw.len()
@@ -632,7 +632,9 @@ impl RetrievalSystem {
                 .collect();
             let aux = v3_f32s(v3_section(bytes, sections[4].0, sections[4].1)?);
             let codes = v3_section(bytes, sections[5].0, sections[5].1)?.to_vec();
-            seen_rows += rows;
+            seen_rows = seen_rows.checked_add(rows).ok_or_else(|| {
+                RetrievalError::BadConfig(format!("DUOINDX3 shard {shard}: row counts overflow"))
+            })?;
             let index = crate::ShardIndex::from_parts(
                 ids, feats, dim, mode, centroids, assign, aux, codes,
             )?;
@@ -1048,6 +1050,37 @@ mod tests {
         assert!(load(&patched).is_ok(), "the last codeword is in range");
         patched[codes_at + codes_len - 1] = ksub as u8;
         assert!(load(&patched).is_err(), "code {ksub} names no codeword");
+    }
+
+    #[test]
+    fn v3_rejects_row_counts_that_overflow() {
+        let (sys, _) = compressed_system(IndexMode::pq(3, 2, 2, 4, 8));
+        let (_, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
+        // `total_rows` is header bytes 80..88 and shard 0's `rows` is the
+        // first directory word, bytes 88..96.
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (total, rows) = (word(80), word(88));
+        let patch = |image: &mut Vec<u8>, at: usize, value: u64| {
+            image[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        };
+        let mut images = Vec::new();
+        for huge in [1u64 << 61, u64::MAX / 4, u64::MAX] {
+            let mut image = bytes.clone();
+            patch(&mut image, 88, huge);
+            images.push(image);
+        }
+        // Wraps back to the true id-section length, and the header's
+        // total is patched to match: only checked arithmetic rejects it.
+        let mut image = bytes.clone();
+        patch(&mut image, 88, rows + (1 << 61));
+        patch(&mut image, 80, total + (1 << 61));
+        images.push(image);
+        for (i, image) in images.iter().enumerate() {
+            let mut rng = Rng64::new(7);
+            let b = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+            let loaded = RetrievalSystem::from_v3_bytes(b, image, RetrievalConfig::default());
+            assert!(loaded.is_err(), "patched image {i} must be rejected");
+        }
     }
 
     #[test]

@@ -45,7 +45,12 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Maximum requests coalesced into one batched backbone forward.
     pub batch_max: usize,
-    /// How long the batcher waits for more requests once a batch is open.
+    /// The longest the batcher holds a batch open, counted from its first
+    /// request. It waits only while another request is still in
+    /// admission (inside [`crate::ClientHandle::retrieve`] but not yet
+    /// queued); with nothing queued and nobody in admission it dispatches
+    /// at once, so a lone caller never waits. This bound is what a batch
+    /// pays when a request it waited for is rejected in admission.
     pub batch_wait: Duration,
     /// Ingress queue capacity; admission sheds load beyond this.
     pub queue_cap: usize,

@@ -19,7 +19,7 @@ use duo_retrieval::{QueryLedger, RetrievalSystem};
 use duo_tensor::Tensor;
 use duo_video::{Video, VideoId};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -62,7 +62,29 @@ pub(crate) struct Shared {
     stats: Mutex<StatsInner>,
     clients: Mutex<Vec<ClientAccount>>,
     queue_depth: AtomicUsize,
+    /// Requests in admission: inside [`ClientHandle::retrieve_inner`] but
+    /// not yet handed to the ingress queue. The batcher holds a batch open
+    /// only while this is nonzero, because only such a request can still
+    /// join it.
+    admitting: AtomicUsize,
     stopped: AtomicBool,
+}
+
+/// One request's count in [`Shared::admitting`], released on drop: just
+/// before the enqueue, or on any rejection path.
+struct Admitting<'a>(&'a AtomicUsize);
+
+impl<'a> Admitting<'a> {
+    fn enter(counter: &'a AtomicUsize) -> Self {
+        counter.fetch_add(1, Ordering::SeqCst);
+        Admitting(counter)
+    }
+}
+
+impl Drop for Admitting<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 struct Request {
@@ -130,6 +152,7 @@ impl RetrievalService {
             stats: Mutex::new(StatsInner::new(config.batch_max, nodes)),
             clients: Mutex::new(Vec::new()),
             queue_depth: AtomicUsize::new(0),
+            admitting: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
         });
         let (ingress, ingress_rx) = mpsc::sync_channel::<Msg>(config.queue_cap);
@@ -257,23 +280,7 @@ fn batcher_loop(
             Ok(Msg::Request(r)) => r,
             Ok(Msg::Shutdown) | Err(_) => break,
         };
-        let mut batch = vec![first];
-        let deadline = Instant::now() + config.batch_wait;
-        let mut shutdown = false;
-        while batch.len() < config.batch_max {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match ingress.recv_timeout(deadline - now) {
-                Ok(Msg::Request(r)) => batch.push(r),
-                Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
-                    shutdown = true;
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-            }
-        }
+        let (batch, shutdown) = gather(first, ingress, &shared.admitting, &config);
         flush_batch(shared, batch, &work_tx, &config);
         if shutdown {
             break;
@@ -281,6 +288,42 @@ fn batcher_loop(
     }
     // Dropping `work_tx` disconnects the work queue; workers drain what
     // is left and exit.
+}
+
+/// Forms one batch behind `first`: takes what is already queued, up to
+/// `batch_max`, then dispatches at once unless a request is still in
+/// admission (`admitting > 0`). Only then does it wait, and never past
+/// `batch_wait` from the first request. A lone caller therefore never
+/// waits: its own count is released before its enqueue, so the batcher
+/// sees zero. Returns the batch and whether a shutdown ended gathering.
+fn gather(
+    first: Request,
+    ingress: &Receiver<Msg>,
+    admitting: &AtomicUsize,
+    config: &ServeConfig,
+) -> (Vec<Request>, bool) {
+    let mut batch = vec![first];
+    let deadline = Instant::now() + config.batch_wait;
+    while batch.len() < config.batch_max {
+        match ingress.try_recv() {
+            Ok(Msg::Request(r)) => {
+                batch.push(r);
+                continue;
+            }
+            Ok(Msg::Shutdown) | Err(TryRecvError::Disconnected) => return (batch, true),
+            Err(TryRecvError::Empty) => {}
+        }
+        let now = Instant::now();
+        if admitting.load(Ordering::SeqCst) == 0 || now >= deadline {
+            break;
+        }
+        match ingress.recv_timeout(deadline - now) {
+            Ok(Msg::Request(r)) => batch.push(r),
+            Ok(Msg::Shutdown) | Err(RecvTimeoutError::Disconnected) => return (batch, true),
+            Err(RecvTimeoutError::Timeout) => break,
+        }
+    }
+    (batch, false)
 }
 
 /// Sheds a request whose end-to-end deadline has expired: refunds the
@@ -493,6 +536,7 @@ impl ClientHandle {
         if shared.stopped.load(Ordering::SeqCst) {
             return Err(ServeError::Stopped);
         }
+        let admitting = Admitting::enter(&shared.admitting);
         let mut submitted = video.clone();
         submitted.quantize();
         // Sketch the quantized clip outside every lock: the detector sees
@@ -570,6 +614,10 @@ impl ClientHandle {
             // `try_send` returns, so incrementing afterwards would race
             // the counter below zero.
             let depth = shared.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
+            // Leave admission before the enqueue, not after: otherwise the
+            // batcher could dequeue this request while its own count is
+            // still held and wait out `batch_wait` for it.
+            drop(admitting);
             match self.ingress.try_send(msg) {
                 Ok(()) => {
                     account.ledger.charge().expect("budget checked above");
@@ -742,6 +790,141 @@ mod tests {
             assert!(holder.join().is_err());
         });
         assert!(mutex.is_poisoned());
+    }
+
+    const HOUR: Duration = Duration::from_secs(3600);
+
+    /// A request for `gather` alone, tagged by `slot`; nothing replies.
+    fn request(slot: usize) -> Request {
+        let (reply, _) = mpsc::sync_channel(1);
+        let video = Video::zeros(ClipSpec::tiny());
+        Request { video, enqueued: Instant::now(), deadline: None, slot, reply }
+    }
+
+    struct Gathered {
+        slots: Vec<usize>,
+        shutdown: bool,
+        took: Duration,
+        ingress: Receiver<Msg>,
+    }
+
+    /// Gathers a batch behind request 0 on its own thread. A gather still
+    /// running after a minute fails the test instead of hanging it.
+    fn gather_on_thread(
+        ingress: Receiver<Msg>,
+        admitting: Arc<AtomicUsize>,
+        batch_max: usize,
+        batch_wait: Duration,
+    ) -> Gathered {
+        let (done_tx, done) = mpsc::channel();
+        let gatherer = std::thread::spawn(move || {
+            let config = ServeConfig { batch_max, batch_wait, ..ServeConfig::default() };
+            let start = Instant::now();
+            let (batch, shutdown) = gather(request(0), &ingress, &admitting, &config);
+            let slots = batch.iter().map(|r| r.slot).collect();
+            let _ = done_tx.send(Gathered { slots, shutdown, took: start.elapsed(), ingress });
+        });
+        let gathered = done.recv_timeout(Duration::from_secs(60));
+        assert!(
+            !matches!(gathered, Err(RecvTimeoutError::Timeout)),
+            "gather still running after a minute"
+        );
+        gatherer.join().expect("gather thread finished without panicking");
+        gathered.expect("gather reported its batch")
+    }
+
+    fn next_slot(ingress: &Receiver<Msg>) -> Option<usize> {
+        match ingress.try_recv() {
+            Ok(Msg::Request(r)) => Some(r.slot),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn gather_takes_at_most_batch_max_of_the_queue_without_waiting() {
+        for in_admission in [0, 1] {
+            let (tx, rx) = mpsc::sync_channel(16);
+            for slot in 1..=6 {
+                tx.send(Msg::Request(request(slot))).unwrap();
+            }
+            let admitting = Arc::new(AtomicUsize::new(in_admission));
+            let got = gather_on_thread(rx, admitting, 4, HOUR);
+            assert_eq!((got.slots, got.shutdown), (vec![0, 1, 2, 3], false));
+            assert_eq!(next_slot(&got.ingress), Some(4), "the rest stays queued");
+        }
+    }
+
+    #[test]
+    fn gather_dispatches_at_once_when_nobody_is_in_admission() {
+        let (_tx, rx) = mpsc::sync_channel(16);
+        let got = gather_on_thread(rx, Arc::new(AtomicUsize::new(0)), 8, HOUR);
+        assert_eq!((got.slots, got.shutdown), (vec![0], false));
+    }
+
+    #[test]
+    fn gather_waits_for_a_request_still_in_admission() {
+        let (tx, rx) = mpsc::sync_channel(16);
+        let admitting = Arc::new(AtomicUsize::new(1));
+        let late = {
+            let admitting = Arc::clone(&admitting);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                // Admission's order: release the count, then enqueue.
+                admitting.fetch_sub(1, Ordering::SeqCst);
+                tx.send(Msg::Request(request(1))).unwrap();
+                tx
+            })
+        };
+        let got = gather_on_thread(rx, admitting, 8, HOUR);
+        assert_eq!((got.slots, got.shutdown), (vec![0, 1], false));
+        drop(late.join().unwrap());
+    }
+
+    #[test]
+    fn gather_gives_up_at_batch_wait_when_nothing_arrives() {
+        let (_tx, rx) = mpsc::sync_channel(16);
+        let batch_wait = Duration::from_millis(20);
+        let got = gather_on_thread(rx, Arc::new(AtomicUsize::new(1)), 8, batch_wait);
+        assert_eq!((got.slots, got.shutdown), (vec![0], false));
+        assert!(got.took >= batch_wait, "returned before batch_wait: {:?}", got.took);
+        assert!(got.took < Duration::from_secs(1), "waited past batch_wait: {:?}", got.took);
+    }
+
+    #[test]
+    fn gather_stops_at_a_queued_shutdown_and_reports_it() {
+        let (tx, rx) = mpsc::sync_channel(16);
+        tx.send(Msg::Request(request(1))).unwrap();
+        tx.send(Msg::Shutdown).unwrap();
+        tx.send(Msg::Request(request(2))).unwrap();
+        let got = gather_on_thread(rx, Arc::new(AtomicUsize::new(1)), 8, HOUR);
+        assert_eq!((got.slots, got.shutdown), (vec![0, 1], true));
+        assert_eq!(next_slot(&got.ingress), Some(2), "nothing past the shutdown is taken");
+    }
+
+    #[test]
+    fn admission_count_is_released_on_every_path() {
+        let mut rng = Rng64::new(883);
+        let ds =
+            SyntheticDataset::subsampled(DatasetKind::Hmdb51Like, ClipSpec::tiny(), 883, 2, 1);
+        let gallery: Vec<VideoId> = ds.train().iter().filter(|id| id.class < 6).copied().collect();
+        let backbone = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+        let config = RetrievalConfig { m: 5, nodes: 2, ..RetrievalConfig::default() };
+        let system = RetrievalSystem::build(backbone, &ds, &gallery, config).unwrap();
+        let video = ds.video(ds.test()[0]);
+        let service = RetrievalService::start(system, ServeConfig::default()).unwrap();
+        let in_admission = || service.shared.admitting.load(Ordering::SeqCst);
+
+        let budgeted = service.client(Some(1), None);
+        budgeted.retrieve(&video).unwrap();
+        assert_eq!(in_admission(), 0, "served");
+        let rejected = budgeted.retrieve(&video);
+        assert!(matches!(rejected, Err(ServeError::BudgetExhausted { .. })), "{rejected:?}");
+        assert_eq!(in_admission(), 0, "rejected for budget");
+        let limited = service.client(None, Some(crate::RateLimit::new(0, 0.0)));
+        let rejected = limited.retrieve(&video);
+        assert!(matches!(rejected, Err(ServeError::RateLimited { .. })), "{rejected:?}");
+        assert_eq!(in_admission(), 0, "rejected for rate");
+        service.shutdown();
     }
 
     #[test]

@@ -117,6 +117,40 @@ fn batched_and_unbatched_serving_are_bit_identical() {
 }
 
 #[test]
+fn lone_caller_never_waits_for_batch_wait() {
+    let (system, ds) = make_system(515, false);
+    let videos = queries(&ds, 5);
+    let expected = direct_answers(&system, &videos);
+    // An hour-long window: a batcher that held a lone request open for
+    // company would stall every call, so the caller runs on its own
+    // thread and a stall fails the test after a minute instead of
+    // hanging it.
+    let config = ServeConfig {
+        workers: 2,
+        batch_max: 8,
+        batch_wait: Duration::from_secs(3600),
+        ..ServeConfig::default()
+    };
+    let service = RetrievalService::start(system, config).unwrap();
+    let client = service.client(None, None);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    let caller = std::thread::spawn(move || {
+        let lists: Result<Vec<_>, _> = videos.iter().map(|v| client.retrieve(v)).collect();
+        let _ = done_tx.send(lists);
+    });
+    let lists = done.recv_timeout(Duration::from_secs(60));
+    assert!(
+        !matches!(lists, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "five sequential calls still running after a minute"
+    );
+    caller.join().expect("caller thread finished without panicking");
+    let lists = lists.expect("caller reported its lists").unwrap();
+    assert_eq!(lists, expected, "served lists diverged from direct retrieval");
+    let stats = service.shutdown();
+    assert_eq!(stats.batch_hist[1], 5, "histogram {:?}", stats.batch_hist);
+}
+
+#[test]
 fn budget_is_enforced_server_side_and_rejections_are_free() {
     let (system, ds) = make_system(503, false);
     let video = ds.video(ds.test()[0]);

@@ -5,6 +5,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Smoke-scale runs below write their BENCH_*.json artifacts under
+# target/bench-smoke/, never over the committed full-scale artifacts at
+# the repo root. Hash those now; the last step fails if any changed.
+committed_artifacts=$(sha256sum BENCH_*.json)
+
 cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 # The index crate's oracle tests again, at the release profile: opt-level
@@ -60,7 +65,7 @@ DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin index_swe
 # bit-identity on every variant (reference, serial, each thread count,
 # fused bias) before timing, the mutate bench asserts the epoch path
 # ranks identically to the frozen-snapshot baseline, and all three write
-# their BENCH_*.json artifacts at the repo root.
+# their BENCH_*.json artifacts under target/bench-smoke/.
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench gemm
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench serve
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench mutate
@@ -80,11 +85,12 @@ DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin campaign
 # twice here proves the whole experiment (not just the in-process
 # replay) is deterministic end to end.
 DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin red_vs_blue
-cp BENCH_defense.json BENCH_defense.json.replay
+defense_smoke=target/bench-smoke/BENCH_defense.json
+cp "$defense_smoke" "$defense_smoke.replay"
 DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin red_vs_blue
-cmp BENCH_defense.json BENCH_defense.json.replay \
+cmp "$defense_smoke" "$defense_smoke.replay" \
   || { echo "red_vs_blue: same-seed reruns diverged" >&2; exit 1; }
-rm -f BENCH_defense.json.replay
+rm -f "$defense_smoke.replay"
 
 # Artifact + threshold gate: every emitted file (gemm, serve, campaign,
 # mutate, index, defense) must parse and carry every required field (name,
@@ -96,4 +102,13 @@ rm -f BENCH_defense.json.replay
 # ratio, audited recall loss over 0.05) fails tier-1 here, not just a
 # schema break. (Full-scale rules are skipped at smoke scale; they gate
 # the committed BENCH_*.json artifacts instead.)
+DUO_SCALE=smoke cargo run --release --offline -p duo-bench --bin bench_check
+
+# The same gate on the committed full-scale artifacts at the repo root:
+# the rules naming full-scale entries apply there, and the ones naming
+# smoke-only entries are skipped.
 cargo run --release --offline -p duo-bench --bin bench_check
+
+# Nothing above may have rewritten a committed artifact.
+[ "$(sha256sum BENCH_*.json)" = "$committed_artifacts" ] \
+  || { echo "verify: a committed BENCH_*.json changed during the run" >&2; exit 1; }
