@@ -4,10 +4,11 @@
 //!
 //! * `serve/extract_*` — the raw batched forward ([`duo_nn::Layer::infer_batch`]
 //!   via `Backbone::extract_batch`) against a serial `extract` loop on one
-//!   thread. This isolates the compute-level amortization (shared im2col
-//!   workspace, hoisted weight reshape, reused matmul scratch); where
-//!   allocator pressure is low it degenerates to a parity check that the
-//!   batched path never costs more than the serial loop.
+//!   thread. This isolates the compute-level amortization (each
+//!   convolution's weight matrix packed once per batch); since the
+//!   lowering and GEMM buffers come from a recycled workspace on both
+//!   paths, it is mostly a parity check that the batched path never
+//!   costs more than the serial loop.
 //! * `serve/single_query_*` vs `serve/micro_batched_*` — the full service:
 //!   rounds of lockstep bursts from four concurrent client threads against
 //!   a live `duo-serve` service, with batching off (`batch_max = 1`, every

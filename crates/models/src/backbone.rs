@@ -336,8 +336,8 @@ impl Backbone {
     /// across up to `workers` threads.
     ///
     /// The batched forward runs the exact same per-item computation as
-    /// [`Backbone::extract`] — it only amortizes per-call setup (im2col
-    /// workspaces, weight reshapes) across the batch — so the result is
+    /// [`Backbone::extract`] — it only amortizes per-call setup (each
+    /// convolution's packed weight matrix) across the batch — so the result is
     /// bit-identical to a serial loop. Parallelism and batching only
     /// change wall-clock time, never values. `workers == 0` is treated
     /// as 1. Results are returned in input order.
@@ -443,6 +443,10 @@ impl Parameterized for Backbone {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params(visitor);
     }
+
+    fn zero_grad(&mut self) {
+        self.net.zero_grad();
+    }
 }
 
 #[cfg(test)]
@@ -534,9 +538,14 @@ mod tests {
         ] {
             let mut rng = Rng64::new(106);
             let mut model = Backbone::new(arch, BackboneConfig::tiny(), &mut rng).unwrap();
-            let infer = model.extract(&video).unwrap();
-            let train = model.extract_training(&video).unwrap();
-            assert_eq!(infer.as_slice(), train.as_slice(), "{arch}: infer must be bit-identical");
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let infer = bits(&model.extract(&video).unwrap());
+            let batched = model.extract_batch(&[&video, &video], 1).unwrap();
+            let train = bits(&model.extract_training(&video).unwrap());
+            assert_eq!(infer, train, "{arch}: infer must be bit-identical");
+            for item in &batched {
+                assert_eq!(bits(item), infer, "{arch}: infer_batch must be bit-identical");
+            }
         }
     }
 

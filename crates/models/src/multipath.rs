@@ -169,6 +169,12 @@ impl Parameterized for MultiPath {
             branch.visit_params(visitor);
         }
     }
+
+    fn zero_grad(&mut self) {
+        for branch in &mut self.branches {
+            branch.zero_grad();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -51,6 +51,11 @@ impl Parameterized for Joint<'_> {
         self.backbone.visit_params(visitor);
         self.head.visit_params(visitor);
     }
+
+    fn zero_grad(&mut self) {
+        self.backbone.zero_grad();
+        self.head.zero_grad();
+    }
 }
 
 /// Trains `backbone` + `head` jointly on the labeled items of a synthetic

@@ -1,7 +1,6 @@
 use crate::{Layer, NnError, Param, Result};
 use duo_tensor::{
-    col2im3d, gemm_packed, im2col3d, im2col3d_into, matmul_into, Conv3dSpec, PackedA, Rng64,
-    Tensor,
+    col2im3d, gemm_im2col3d, im2col3d, matmul_into, Conv3dSpec, PackedA, Rng64, Tensor,
 };
 
 /// 3-D convolution over `[C, T, H, W]` inputs.
@@ -12,7 +11,12 @@ use duo_tensor::{
 ///
 /// Forward lowers to `W · im2col(x)`; backward uses the transpose of the
 /// same lowering (`col2im(Wᵀ · g)`), so the correctness of both reduces to
-/// the adjoint identity tested in `duo-tensor`.
+/// the adjoint identity tested in `duo-tensor`. The training forward
+/// materializes the column matrix because backward reads it; inference
+/// ([`Layer::infer`], [`Layer::infer_batch`]) runs
+/// [`duo_tensor::gemm_im2col3d`], which lowers straight into the GEMM's
+/// packed operand and never builds the matrix. Both run the same float
+/// program, so their outputs are bit-identical.
 pub struct Conv3d {
     weight: Param,
     bias: Param,
@@ -51,13 +55,9 @@ impl Conv3d {
         self.out_channels
     }
 
-    /// The lowered forward pass. Returns the output plus the `im2col`
-    /// buffer and geometry so the training path can cache them; the
-    /// inference path drops them on the floor.
-    fn run_forward(
-        &self,
-        input: &Tensor,
-    ) -> Result<(Tensor, Tensor, (usize, usize, usize))> {
+    /// Output extent `(out_t, out_h, out_w)` for `input`, rejecting
+    /// anything but a rank-4 `[C, T, H, W]` clip.
+    fn out_thw(&self, input: &Tensor) -> Result<(usize, usize, usize)> {
         if input.rank() != 4 {
             return Err(NnError::BadInput {
                 layer: "Conv3d",
@@ -65,23 +65,50 @@ impl Conv3d {
             });
         }
         let (t, h, w) = (input.dims()[1], input.dims()[2], input.dims()[3]);
-        let out_thw = self.spec.output_thw(t, h, w)?;
-        let cols = im2col3d(input, &self.spec)?;
+        Ok(self.spec.output_thw(t, h, w)?)
+    }
+
+    /// The weight as the `[out_c, C·kt·kh·kw]` matrix the lowering
+    /// multiplies.
+    fn weight_matrix(&self) -> Result<Tensor> {
         let k = self.spec.in_channels * self.spec.kt * self.spec.kh * self.spec.kw;
-        let wm = self.weight.value.reshape(&[self.out_channels, k])?;
+        Ok(self.weight.value.reshape(&[self.out_channels, k])?)
+    }
+
+    /// Adds the per-channel bias to a `[out_c, positions]` product, last,
+    /// and shapes it as `[out_c, out_t, out_h, out_w]`.
+    fn finish(&self, out: Tensor, out_thw: (usize, usize, usize)) -> Result<Tensor> {
         let positions = out_thw.0 * out_thw.1 * out_thw.2;
-        let mut out = Tensor::zeros(&[self.out_channels, positions]);
-        matmul_into(&wm, &cols, &mut out)?;
-        // Add per-channel bias.
-        let bv = self.bias.value.as_slice().to_vec();
-        let ov = out.as_mut_slice();
-        for (o, &b) in bv.iter().enumerate() {
-            for x in &mut ov[o * positions..(o + 1) * positions] {
+        let mut ov = out.into_vec();
+        for (row, &b) in ov.chunks_exact_mut(positions).zip(self.bias.value.as_slice()) {
+            for x in row {
                 *x += b;
             }
         }
-        let out = out.reshape(&[self.out_channels, out_thw.0, out_thw.1, out_thw.2])?;
-        Ok((out, cols, out_thw))
+        Ok(Tensor::from_vec(ov, &[self.out_channels, out_thw.0, out_thw.1, out_thw.2])?)
+    }
+
+    /// The training forward: materializes the column matrix, which it
+    /// returns with the output geometry so backward can use both.
+    fn run_forward(
+        &self,
+        input: &Tensor,
+    ) -> Result<(Tensor, Tensor, (usize, usize, usize))> {
+        let out_thw = self.out_thw(input)?;
+        let cols = im2col3d(input, &self.spec)?;
+        let mut out = Tensor::zeros(&[self.out_channels, cols.dims()[1]]);
+        matmul_into(&self.weight_matrix()?, &cols, &mut out)?;
+        Ok((self.finish(out, out_thw)?, cols, out_thw))
+    }
+
+    /// The inference forward for one clip against a weight matrix packed
+    /// once per call.
+    fn run_infer(&self, packed_w: &PackedA, input: &Tensor) -> Result<Tensor> {
+        let out_thw = self.out_thw(input)?;
+        let positions = out_thw.0 * out_thw.1 * out_thw.2;
+        let mut out = Tensor::zeros(&[self.out_channels, positions]);
+        gemm_im2col3d(packed_w, input, &self.spec, &mut out)?;
+        self.finish(out, out_thw)
     }
 }
 
@@ -104,57 +131,17 @@ impl Layer for Conv3d {
     }
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let (out, _cols, _out_thw) = self.run_forward(input)?;
-        Ok(out)
+        self.run_infer(&PackedA::pack(&self.weight_matrix()?)?, input)
     }
 
     fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        // The per-call setup — reshaping the weight to a matrix (a full
-        // copy of the weight data) and allocating the im2col buffer (the
-        // largest allocation in the whole forward pass) — is identical
-        // for every same-shaped input, so hoist it out of the loop. The
-        // per-item arithmetic and its order are unchanged, keeping each
-        // output bit-identical to `infer`.
-        let Some((first, _)) = inputs.split_first() else {
-            return Ok(Vec::new());
-        };
-        if inputs.iter().any(|x| x.dims() != first.dims()) {
-            return inputs.iter().map(|x| self.infer(x)).collect();
-        }
-        if first.rank() != 4 {
-            return Err(NnError::BadInput {
-                layer: "Conv3d",
-                reason: format!("needs rank-4 [C,T,H,W], got {:?}", first.dims()),
-            });
-        }
-        let (t, h, w) = (first.dims()[1], first.dims()[2], first.dims()[3]);
-        let out_thw = self.spec.output_thw(t, h, w)?;
-        let positions = out_thw.0 * out_thw.1 * out_thw.2;
-        let k = self.spec.in_channels * self.spec.kt * self.spec.kh * self.spec.kw;
-        let wm = self.weight.value.reshape(&[self.out_channels, k])?;
         // The weight matrix is the left GEMM operand of every item, so
-        // pack it once and reuse the packed panels across the whole
-        // batch (and across the output stripes of each threaded GEMM)
-        // instead of re-packing per item.
-        let packed_w = PackedA::pack(&wm)?;
-        let bv = self.bias.value.as_slice().to_vec();
-        let mut cols = Tensor::zeros(&[k, positions]);
-        // Scratch output reused across items: the GEMM overwrites every
-        // element, so stale values never leak between items.
-        let mut out = Tensor::zeros(&[self.out_channels, positions]);
-        let mut outs = Vec::with_capacity(inputs.len());
-        for input in inputs {
-            im2col3d_into(input, &self.spec, &mut cols)?;
-            gemm_packed(&packed_w, &cols, &mut out)?;
-            let ov = out.as_mut_slice();
-            for (o, &b) in bv.iter().enumerate() {
-                for x in &mut ov[o * positions..(o + 1) * positions] {
-                    *x += b;
-                }
-            }
-            outs.push(out.reshape(&[self.out_channels, out_thw.0, out_thw.1, out_thw.2])?);
-        }
-        Ok(outs)
+        // pack it once and reuse the packed panels across the whole batch
+        // (and across the output stripes of each threaded GEMM). The
+        // per-item arithmetic is `infer`'s, so every output is
+        // bit-identical to it.
+        let packed_w = PackedA::pack(&self.weight_matrix()?)?;
+        inputs.iter().map(|x| self.run_infer(&packed_w, x)).collect()
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -186,8 +173,7 @@ impl Layer for Conv3d {
         }
 
         // Input gradient: col2im(Wᵀ · g).
-        let wm = self.weight.value.reshape(&[self.out_channels, k])?;
-        let wt = wm.transpose()?;
+        let wt = self.weight_matrix()?.transpose()?;
         let mut gcols = Tensor::zeros(&[k, positions]);
         matmul_into(&wt, &g, &mut gcols)?;
         let (t, h, w) = (cache.in_dims[1], cache.in_dims[2], cache.in_dims[3]);

@@ -12,6 +12,12 @@ pub trait Parameterized {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param));
 
     /// Zeroes all parameter gradient accumulators.
+    ///
+    /// The default visits every parameter. A layer that keeps state
+    /// derived from its parameter *values* (the [`crate::Linear`]
+    /// transposed weight) drops it on a visit, so it overrides this to
+    /// zero its gradients without one; containers override it to forward
+    /// the call to their children for the same reason.
     fn zero_grad(&mut self) {
         self.visit_params(&mut |p| p.zero_grad());
     }
@@ -74,8 +80,8 @@ pub trait Layer: Parameterized + Send + Sync {
     /// Computes the layer output for a *batch* of inputs in evaluation
     /// mode. Bit-identical to calling [`Layer::infer`] on each input in
     /// order — the default does exactly that — but layers with expensive
-    /// per-call setup (im2col workspaces, weight reshapes) override it to
-    /// amortize that work across the batch. This is the batched forward
+    /// per-call setup (a convolution's packed weight matrix) override it
+    /// to amortize that work across the batch. This is the batched forward
     /// entry point the serving layer's micro-batcher drives.
     ///
     /// # Errors
@@ -204,6 +210,12 @@ impl Parameterized for Sequential {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params(visitor);
+        }
+    }
+
+    fn zero_grad(&mut self) {
+        for layer in &mut self.layers {
+            layer.zero_grad();
         }
     }
 }
@@ -517,6 +529,13 @@ impl Parameterized for Residual {
             s.visit_params(visitor);
         }
     }
+
+    fn zero_grad(&mut self) {
+        self.main.zero_grad();
+        if let Some(s) = &mut self.shortcut {
+            s.zero_grad();
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -706,6 +725,65 @@ mod tests {
         assert_eq!(y.as_slice(), &[0.0, 1.0, 4.0, 5.0]);
         let g = ts.backward(&Tensor::ones(&[1, 2, 1, 2])).unwrap();
         assert_eq!(g.as_slice(), &[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
+    }
+
+    /// A leaf that records how `zero_grad` reached it: through a
+    /// parameter visit (which would drop derived state such as the
+    /// `Linear` transpose) or through a direct call.
+    #[derive(Clone, Default)]
+    struct Probe {
+        visits: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        zeroed: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Parameterized for Probe {
+        fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Param)) {
+            self.visits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+
+        fn zero_grad(&mut self) {
+            self.zeroed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    impl Layer for Probe {
+        fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn infer(&self, input: &Tensor) -> Result<Tensor> {
+            Ok(input.clone())
+        }
+
+        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+            Ok(grad_out.clone())
+        }
+
+        fn name(&self) -> &'static str {
+            "Probe"
+        }
+
+        fn clone_box(&self) -> Box<dyn Layer> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn containers_forward_zero_grad_without_visiting() {
+        let probe = Probe::default();
+        let leaf = || Box::new(probe.clone()) as Box<dyn Layer>;
+        let mut net = Sequential::new(vec![
+            leaf(),
+            Box::new(Residual::with_shortcut(
+                Sequential::new(vec![leaf()]),
+                Sequential::new(vec![leaf()]),
+            )),
+        ]);
+        net.zero_grad();
+        let count = |c: &std::sync::atomic::AtomicUsize| c.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!((count(&probe.zeroed), count(&probe.visits)), (3, 0));
+        net.visit_params(&mut |_| {});
+        assert_eq!(count(&probe.visits), 3);
     }
 
     #[test]

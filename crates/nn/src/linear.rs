@@ -1,20 +1,37 @@
+use std::sync::OnceLock;
+
 use crate::{Layer, NnError, Param, Result};
-use duo_tensor::{gemm_bias, Rng64, Tensor};
+use duo_tensor::{Rng64, Tensor};
+
+/// Outputs scored per pass over the input, one per SIMD lane.
+const LANES: usize = 16;
 
 /// Fully-connected layer: `y = W x + b` over rank-1 inputs.
 ///
-/// The batched inference path ([`Layer::infer_batch`]) stacks the batch
-/// into one `[batch, in] × [in, out]` product on the blocked (and, for
-/// large batches, multi-threaded) GEMM kernel. Each output element still
-/// accumulates `w·x` in the same index order as the per-sample path and
-/// adds the bias last, so the batched result is bit-identical to calling
-/// [`Layer::infer`] per sample.
+/// Every forward (`forward`, `infer`, and `infer_batch`, which is `infer`
+/// per sample) scores 16 outputs per pass over the input, one per
+/// SIMD lane, from a transposed copy of the weight: lane `o` folds
+/// `w[o][i].mul_add(x[i], acc)` from `0.0` in increasing `i` and adds
+/// `b[o]` last — the scalar row fold's float program, so every output is
+/// bit-identical to it. Outputs past the last full lane block take the
+/// scalar row fold itself.
+///
+/// The transposed copy is built on first use and kept with the layer.
+/// Every path that can rewrite the weight reaches it through
+/// [`crate::Parameterized::visit_params`] (optimizer steps, checkpoint
+/// imports), and a visit drops the copy. `zero_grad` touches gradients
+/// only, so it keeps the copy: the attack's backward loop zeroes
+/// gradients on every iteration.
 pub struct Linear {
     weight: Param,
     bias: Param,
     in_features: usize,
     out_features: usize,
     cache: Option<Tensor>,
+    /// The weight's full lane blocks, each transposed: block `b` holds
+    /// `w[16b + l][i]` at `[(b·in + i)·16 + l]`, so a pass streams one
+    /// contiguous block.
+    weight_lanes: OnceLock<Vec<f32>>,
 }
 
 impl Linear {
@@ -23,7 +40,14 @@ impl Linear {
         let std = (2.0 / in_features as f32).sqrt();
         let weight = Param::new(Tensor::randn(&[out_features, in_features], std, rng.as_rng()));
         let bias = Param::new(Tensor::zeros(&[out_features]));
-        Linear { weight, bias, in_features, out_features, cache: None }
+        Linear {
+            weight,
+            bias,
+            in_features,
+            out_features,
+            cache: None,
+            weight_lanes: OnceLock::new(),
+        }
     }
 
     /// Input dimensionality.
@@ -47,20 +71,57 @@ impl Linear {
                 ),
             });
         }
-        // Products fold with fused multiply-add from 0.0 in index order,
-        // bias lands last — the same per-element float program as the
-        // fused-bias GEMM ([`duo_tensor::gemm_bias`]) that `infer_batch`
-        // rides, so the batched path is bit-identical to this one.
-        let mut out = Tensor::zeros(&[self.out_features]);
+        let (nin, nout) = (self.in_features, self.out_features);
         let wv = self.weight.value.as_slice();
         let bv = self.bias.value.as_slice();
         let xv = input.as_slice();
-        for (o, out_val) in out.as_mut_slice().iter_mut().enumerate() {
-            let row = &wv[o * self.in_features..(o + 1) * self.in_features];
-            *out_val = row.iter().zip(xv).fold(0.0f32, |s, (w, &x)| w.mul_add(x, s)) + bv[o];
+        let mut out = vec![0.0f32; nout];
+        // A zero-width input has no lane blocks to stream; the row fold
+        // covers it.
+        let full = if nin == 0 { 0 } else { nout / LANES * LANES };
+        if full > 0 {
+            let lanes = self.weight_lanes.get_or_init(|| lane_blocks(wv, nin, full));
+            for ((block, dst), bias) in lanes
+                .chunks_exact(nin * LANES)
+                .zip(out.chunks_exact_mut(LANES))
+                .zip(bv.chunks_exact(LANES))
+            {
+                let mut acc = [0.0f32; LANES];
+                for (w, &x) in block.chunks_exact(LANES).zip(xv) {
+                    for (a, &wl) in acc.iter_mut().zip(w) {
+                        *a = wl.mul_add(x, *a);
+                    }
+                }
+                for ((d, a), &b) in dst.iter_mut().zip(acc).zip(bias) {
+                    *d = a + b;
+                }
+            }
         }
-        Ok(out)
+        for (o, d) in out.iter_mut().enumerate().skip(full) {
+            *d = row_fold(&wv[o * nin..(o + 1) * nin], xv) + bv[o];
+        }
+        Ok(Tensor::from_vec(out, &[nout])?)
     }
+}
+
+/// Transposes the first `full` rows of the row-major `[out, nin]` weight
+/// `wv` one lane block at a time (the layout of `Linear::weight_lanes`).
+fn lane_blocks(wv: &[f32], nin: usize, full: usize) -> Vec<f32> {
+    let mut lanes = vec![0.0f32; full * nin];
+    for (block, rows) in lanes.chunks_exact_mut(nin * LANES).zip(wv.chunks_exact(nin * LANES)) {
+        for (l, row) in rows.chunks_exact(nin).enumerate() {
+            for (dst, &w) in block.chunks_exact_mut(LANES).zip(row) {
+                dst[l] = w;
+            }
+        }
+    }
+    lanes
+}
+
+/// One output's dot product: fused multiply-adds from `0.0` in index
+/// order. The lane kernel runs this exact program per lane.
+fn row_fold(row: &[f32], x: &[f32]) -> f32 {
+    row.iter().zip(x).fold(0.0f32, |s, (w, &x)| w.mul_add(x, s))
 }
 
 impl std::fmt::Debug for Linear {
@@ -81,54 +142,6 @@ impl Layer for Linear {
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
         self.compute(input)
-    }
-
-    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        if inputs.len() < 2 {
-            return inputs.iter().map(|x| self.infer(x)).collect();
-        }
-        for input in inputs {
-            if input.rank() != 1 || input.len() != self.in_features {
-                return Err(NnError::BadInput {
-                    layer: "Linear",
-                    reason: format!(
-                        "expected rank-1 input of length {}, got {:?}",
-                        self.in_features,
-                        input.dims()
-                    ),
-                });
-            }
-        }
-        let (batch, nin, nout) = (inputs.len(), self.in_features, self.out_features);
-        let mut xmat = Tensor::zeros(&[batch, nin]);
-        let xv = xmat.as_mut_slice();
-        for (s, input) in inputs.iter().enumerate() {
-            xv[s * nin..(s + 1) * nin].copy_from_slice(input.as_slice());
-        }
-        // The GEMM streams rows of B, so multiply against Wᵀ [in, out]
-        // rather than W [out, in]; the p-order of the accumulation (over
-        // `in`) matches the per-sample dot product exactly.
-        let wv = self.weight.value.as_slice();
-        let mut wt = Tensor::zeros(&[nin, nout]);
-        let wtv = wt.as_mut_slice();
-        for o in 0..nout {
-            for i in 0..nin {
-                wtv[i * nout + o] = wv[o * nin + i];
-            }
-        }
-        // Fused-bias GEMM: one pass writes `x·Wᵀ + b` directly instead of
-        // a matmul followed by a bias sweep over the whole output. Each
-        // element accumulates products in the same order as `compute` and
-        // adds the bias last, hence the same bits.
-        let mut ymat = Tensor::zeros(&[batch, nout]);
-        gemm_bias(&xmat, &wt, &self.bias.value, &mut ymat)?;
-        let yv = ymat.as_slice();
-        (0..batch)
-            .map(|s| {
-                Tensor::from_vec(yv[s * nout..(s + 1) * nout].to_vec(), &[nout])
-                    .map_err(NnError::from)
-            })
-            .collect()
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -174,14 +187,23 @@ impl Layer for Linear {
             in_features: self.in_features,
             out_features: self.out_features,
             cache: None,
+            weight_lanes: OnceLock::new(),
         })
     }
 }
 
 impl crate::Parameterized for Linear {
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Param)) {
+        // The visitor may rewrite the weight, so the transposed copy is
+        // rebuilt on the next forward.
+        self.weight_lanes.take();
         visitor(&mut self.weight);
         visitor(&mut self.bias);
+    }
+
+    fn zero_grad(&mut self) {
+        self.weight.zero_grad();
+        self.bias.zero_grad();
     }
 }
 
@@ -229,6 +251,92 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Optimizer, Parameterized, Sgd};
+    use duo_check::{check, prop_assert_eq, Config};
+
+    /// The scalar per-row fold over the row-major weight: the oracle every
+    /// forward of the lane kernel must match bit for bit.
+    fn oracle(lin: &Linear, x: &Tensor) -> Vec<u32> {
+        let (wv, bv) = (lin.weight.value.as_slice(), lin.bias.value.as_slice());
+        (0..lin.out_features)
+            .map(|o| {
+                let row = &wv[o * lin.in_features..(o + 1) * lin.in_features];
+                (row_fold(row, x.as_slice()) + bv[o]).to_bits()
+            })
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    check! {
+        #![config(Config::default().with_cases(96))]
+
+        /// `in` 1–300 and `out` 1–40: full lane blocks, a lane block plus
+        /// a scalar tail, and tail-only widths.
+        fn lane_linear_is_bitwise_scalar_oracle(
+            nin in 1usize..301,
+            nout in 1usize..41,
+            seed in 0u64..0x1000_0000,
+        ) {
+            let mut rng = Rng64::new(seed);
+            let mut lin = Linear::new(nin, nout, &mut rng);
+            lin.bias.value = Tensor::randn(&[nout], 1.0, rng.as_rng());
+            let xs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[nin], 1.0, rng.as_rng())).collect();
+            let batched = lin.infer_batch(&xs).unwrap();
+            for (x, y) in xs.iter().zip(&batched) {
+                let want = oracle(&lin, x);
+                prop_assert_eq!(bits(&lin.infer(x).unwrap()), want.clone(), "infer {nin}->{nout}");
+                prop_assert_eq!(bits(y), want.clone(), "infer_batch {nin}->{nout}");
+                prop_assert_eq!(bits(&lin.forward(x).unwrap()), want, "forward {nin}->{nout}");
+            }
+        }
+    }
+
+    /// A trained-then-probed layer: one forward/backward leaves gradients
+    /// behind and one inference builds the transposed weight.
+    fn warmed_layer(seed: u64) -> (Linear, Tensor) {
+        let mut rng = Rng64::new(seed);
+        let mut lin = Linear::new(37, 20, &mut rng);
+        let x = Tensor::randn(&[37], 1.0, rng.as_rng());
+        lin.forward(&x).unwrap();
+        lin.backward(&Tensor::randn(&[20], 1.0, rng.as_rng())).unwrap();
+        lin.infer(&x).unwrap();
+        assert!(lin.weight_lanes.get().is_some(), "inference caches the transposed weight");
+        (lin, x)
+    }
+
+    #[test]
+    fn optimizer_step_refreshes_the_transposed_weight() {
+        let (mut lin, x) = warmed_layer(8);
+        let before = lin.weight.value.clone();
+        Sgd::new(0.5, 0.0).step(&mut lin);
+        assert_ne!(lin.weight.value, before, "the step moved the weight");
+        assert_eq!(bits(&lin.infer(&x).unwrap()), oracle(&lin, &x), "stale transpose after a step");
+    }
+
+    #[test]
+    fn imported_params_refresh_the_transposed_weight() {
+        // What `duo_models::import_params` does: overwrite each value
+        // through `visit_params` and clear its gradient.
+        let (mut lin, x) = warmed_layer(9);
+        let mut rng = Rng64::new(10);
+        lin.visit_params(&mut |p| {
+            p.value = Tensor::randn(p.value.dims(), 1.0, rng.as_rng());
+            p.zero_grad();
+        });
+        assert_eq!(bits(&lin.infer(&x).unwrap()), oracle(&lin, &x), "stale transpose after import");
+    }
+
+    #[test]
+    fn zero_grad_keeps_the_transposed_weight() {
+        let (mut lin, _) = warmed_layer(11);
+        let cached = lin.weight_lanes.get().map(|t| t.as_ptr());
+        lin.zero_grad();
+        assert_eq!(lin.weight_lanes.get().map(|t| t.as_ptr()), cached, "rebuilt on zero_grad");
+        assert_eq!(lin.weight.grad.l0_norm() + lin.bias.grad.l0_norm(), 0, "gradients zeroed");
+    }
 
     #[test]
     fn linear_computes_wx_plus_b() {
@@ -266,7 +374,7 @@ mod tests {
         let batched = lin.infer_batch(&inputs).unwrap();
         for (x, y) in inputs.iter().zip(&batched) {
             let single = lin.infer(x).unwrap();
-            assert_eq!(single.as_slice(), y.as_slice(), "batched GEMM path must not drift");
+            assert_eq!(single.as_slice(), y.as_slice(), "batched path must not drift");
         }
     }
 

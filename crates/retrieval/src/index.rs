@@ -1322,11 +1322,16 @@ impl ShardIndex {
         }
         let bad = |what: &str| RetrievalError::BadConfig(format!("DUOINDX3 {what} length mismatch"));
         let (ivf, coarse_assign) = match mode.coarse_params() {
-            Some((_, nprobe)) if rows > 0 => {
+            Some((nlist, nprobe)) if rows > 0 => {
                 if dim == 0 || centroids.len() % dim != 0 || assign.len() != rows {
                     return Err(bad("coarse section"));
                 }
+                // Training caps the list count at the row count and never
+                // trains fewer, so any other count contradicts the mode.
                 let k = centroids.len() / dim;
+                if k != nlist.min(rows) {
+                    return Err(bad("coarse centroid"));
+                }
                 let mut lists: Vec<Vec<u32>> = vec![Vec::new(); k];
                 for (row, &c) in assign.iter().enumerate() {
                     if c as usize >= k {

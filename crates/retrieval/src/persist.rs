@@ -601,6 +601,15 @@ impl RetrievalSystem {
         }
         let epoch = cur.u64()?;
         let total_rows = cur.u64()? as usize;
+        // Every allocation below is sized from a length checked against
+        // the image: the shard directory must fit before `nodes` is
+        // reserved for it, and each section is bounds-checked before it
+        // is decoded.
+        if bytes.len() - cur.at < shard_count * (8 + V3_SECTIONS * 16) {
+            return Err(RetrievalError::BadConfig(format!(
+                "truncated DUOINDX3 directory for {shard_count} shards"
+            )));
+        }
 
         let mut nodes = Vec::with_capacity(shard_count);
         let mut seen_rows = 0usize;

@@ -61,7 +61,7 @@ pub struct ServeConfig {
     /// query is never billed to the client's ledger. `None` disables the
     /// default deadline.
     pub default_deadline: Option<Duration>,
-    /// Threads the tensor kernels (GEMM / im2col) may use *inside* one
+    /// Threads the tensor kernels (GEMM, convolution forward) may use *inside* one
     /// forward pass, applied process-wide at
     /// [`crate::RetrievalService::start`] via
     /// [`duo_tensor::set_intra_op_threads`]. `0` (the default) resolves

@@ -1,58 +1,20 @@
-//! im2col / col2im lowering for 2-D and 3-D convolution.
+//! im2col / col2im lowering for 3-D convolution.
 //!
 //! Convolution layers in `duo-nn` are implemented as
 //! `weights [out_c, in_c·k…] × im2col(input) [in_c·k…, positions]`, and
 //! their input gradients as `col2im(weightsᵀ × grad_out)`. Keeping the
 //! lowering here (as pure tensor-to-tensor functions) lets the property
-//! tests validate it against a naive direct convolution.
+//! tests validate it against a naive direct convolution. A 2-D
+//! convolution is the `kt = 1` case; the per-frame ResNet backbones are
+//! built that way.
+//!
+//! The lowering is one run kernel ([`im2col3d_row`]) that writes one row
+//! of the column matrix at a time. [`im2col3d`] materializes the whole
+//! matrix for the training path, whose backward pass needs it;
+//! [`crate::gemm_im2col3d`] streams the same rows straight into the
+//! GEMM's packed B strips and never builds the matrix at all.
 
-use std::sync::Arc;
-
-use crate::par::{intra_op_pool, row_ranges, ThreadPool};
 use crate::{Tensor, TensorError};
-
-/// Geometry of a 2-D convolution over `[C, H, W]` inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Conv2dSpec {
-    /// Input channel count.
-    pub in_channels: usize,
-    /// Kernel height.
-    pub kh: usize,
-    /// Kernel width.
-    pub kw: usize,
-    /// Stride along height.
-    pub sh: usize,
-    /// Stride along width.
-    pub sw: usize,
-    /// Zero padding along height (applied symmetrically).
-    pub ph: usize,
-    /// Zero padding along width (applied symmetrically).
-    pub pw: usize,
-}
-
-crate::impl_to_json!(struct Conv2dSpec { in_channels, kh, kw, sh, sw, ph, pw });
-
-impl Conv2dSpec {
-    /// Output spatial size `(out_h, out_w)` for an `[C, h, w]` input.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidGeometry`] if the kernel does not fit.
-    pub fn output_hw(&self, h: usize, w: usize) -> Result<(usize, usize), TensorError> {
-        let eh = h + 2 * self.ph;
-        let ew = w + 2 * self.pw;
-        if self.kh == 0 || self.kw == 0 || self.sh == 0 || self.sw == 0 {
-            return Err(TensorError::InvalidGeometry("kernel/stride must be positive".into()));
-        }
-        if eh < self.kh || ew < self.kw {
-            return Err(TensorError::InvalidGeometry(format!(
-                "kernel {}x{} larger than padded input {}x{}",
-                self.kh, self.kw, eh, ew
-            )));
-        }
-        Ok(((eh - self.kh) / self.sh + 1, (ew - self.kw) / self.sw + 1))
-    }
-}
 
 /// Geometry of a 3-D convolution over `[C, T, H, W]` inputs (T = frames).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,100 +86,6 @@ impl Conv3dSpec {
     }
 }
 
-/// Unfolds a `[C, H, W]` input into a `[C·kh·kw, out_h·out_w]` matrix.
-///
-/// # Errors
-///
-/// Returns an error for rank/shape mismatches or invalid geometry.
-pub fn im2col2d(input: &Tensor, spec: &Conv2dSpec) -> Result<Tensor, TensorError> {
-    if input.rank() != 3 {
-        return Err(TensorError::RankMismatch { expected: 3, actual: input.rank(), op: "im2col2d" });
-    }
-    let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-    if c != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            lhs: input.dims().to_vec(),
-            rhs: vec![spec.in_channels],
-            op: "im2col2d(channels)",
-        });
-    }
-    let (oh, ow) = spec.output_hw(h, w)?;
-    let rows = c * spec.kh * spec.kw;
-    let cols = oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    let iv = input.as_slice();
-    let ov = out.as_mut_slice();
-    for ch in 0..c {
-        for ky in 0..spec.kh {
-            for kx in 0..spec.kw {
-                let row = (ch * spec.kh + ky) * spec.kw + kx;
-                for oy in 0..oh {
-                    let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                    for ox in 0..ow {
-                        let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                        let col = oy * ow + ox;
-                        let val = if y >= 0 && (y as usize) < h && x >= 0 && (x as usize) < w {
-                            iv[(ch * h + y as usize) * w + x as usize]
-                        } else {
-                            0.0
-                        };
-                        ov[row * cols + col] = val;
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Folds a `[C·kh·kw, out_h·out_w]` gradient matrix back onto a `[C, H, W]`
-/// input gradient (scatter-add; the adjoint of [`im2col2d`]).
-///
-/// # Errors
-///
-/// Returns an error for rank/shape mismatches or invalid geometry.
-pub fn col2im2d(
-    cols: &Tensor,
-    spec: &Conv2dSpec,
-    h: usize,
-    w: usize,
-) -> Result<Tensor, TensorError> {
-    let (oh, ow) = spec.output_hw(h, w)?;
-    let c = spec.in_channels;
-    if cols.dims() != [c * spec.kh * spec.kw, oh * ow] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: cols.dims().to_vec(),
-            rhs: vec![c * spec.kh * spec.kw, oh * ow],
-            op: "col2im2d",
-        });
-    }
-    let ncols = oh * ow;
-    let mut out = Tensor::zeros(&[c, h, w]);
-    let cv = cols.as_slice();
-    let ov = out.as_mut_slice();
-    for ch in 0..c {
-        for ky in 0..spec.kh {
-            for kx in 0..spec.kw {
-                let row = (ch * spec.kh + ky) * spec.kw + kx;
-                for oy in 0..oh {
-                    let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                    if y < 0 || y as usize >= h {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                        if x < 0 || x as usize >= w {
-                            continue;
-                        }
-                        ov[(ch * h + y as usize) * w + x as usize] += cv[row * ncols + oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Unfolds a `[C, T, H, W]` input into a `[C·kt·kh·kw, out_t·out_h·out_w]`
 /// matrix.
 ///
@@ -225,187 +93,106 @@ pub fn col2im2d(
 ///
 /// Returns an error for rank/shape mismatches or invalid geometry.
 pub fn im2col3d(input: &Tensor, spec: &Conv3dSpec) -> Result<Tensor, TensorError> {
-    if input.rank() != 4 {
-        return Err(TensorError::RankMismatch { expected: 4, actual: input.rank(), op: "im2col3d" });
+    let g = ColGeom::new(input, spec)?;
+    let mut out = Tensor::zeros(&[g.rows, g.cols]);
+    let iv = input.as_slice();
+    for (row, dst) in out.as_mut_slice().chunks_exact_mut(g.cols).enumerate() {
+        im2col3d_row(iv, spec, &g, row, dst);
     }
-    let (t, h, w) = (input.dims()[1], input.dims()[2], input.dims()[3]);
-    let (ot, oh, ow) = spec.output_thw(t, h, w)?;
-    let rows = spec.in_channels * spec.kt * spec.kh * spec.kw;
-    let cols = ot * oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    im2col3d_into(input, spec, &mut out)?;
     Ok(out)
 }
 
-/// `rows · cols` volume below which [`im2col3d_into`] stays serial; the
-/// lowering is pure data movement, so it needs a bigger matrix than GEMM
-/// does before the per-worker input copy pays for itself.
-const IM2COL_PAR_MIN_VOLUME: usize = 1 << 16;
-
-/// Validated geometry of one im2col3d lowering.
+/// Validated geometry of one im2col3d lowering: input extent, output
+/// extent, and the `[rows, cols]` shape of the column matrix.
 #[derive(Clone, Copy)]
-struct ColGeom {
+pub(crate) struct ColGeom {
     t: usize,
     h: usize,
     w: usize,
-    ot: usize,
     oh: usize,
     ow: usize,
-    rows: usize,
-    cols: usize,
+    /// `C·kt·kh·kw`: the GEMM depth.
+    pub(crate) rows: usize,
+    /// `out_t·out_h·out_w`: the GEMM width.
+    pub(crate) cols: usize,
 }
 
-fn im2col3d_geom(
-    input: &Tensor,
-    spec: &Conv3dSpec,
-    out: &Tensor,
-) -> Result<ColGeom, TensorError> {
-    if input.rank() != 4 {
-        return Err(TensorError::RankMismatch { expected: 4, actual: input.rank(), op: "im2col3d" });
+impl ColGeom {
+    /// Checks `input` against `spec` and derives the lowering's shape.
+    pub(crate) fn new(input: &Tensor, spec: &Conv3dSpec) -> Result<ColGeom, TensorError> {
+        if input.rank() != 4 {
+            return Err(TensorError::RankMismatch { expected: 4, actual: input.rank(), op: "im2col3d" });
+        }
+        let (c, t, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
+        if c != spec.in_channels {
+            return Err(TensorError::ShapeMismatch {
+                lhs: input.dims().to_vec(),
+                rhs: vec![spec.in_channels],
+                op: "im2col3d(channels)",
+            });
+        }
+        let (ot, oh, ow) = spec.output_thw(t, h, w)?;
+        let rows = c * spec.kt * spec.kh * spec.kw;
+        Ok(ColGeom { t, h, w, oh, ow, rows, cols: ot * oh * ow })
     }
-    let (c, t, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2], input.dims()[3]);
-    if c != spec.in_channels {
-        return Err(TensorError::ShapeMismatch {
-            lhs: input.dims().to_vec(),
-            rhs: vec![spec.in_channels],
-            op: "im2col3d(channels)",
-        });
-    }
-    let (ot, oh, ow) = spec.output_thw(t, h, w)?;
-    let rows = c * spec.kt * spec.kh * spec.kw;
-    let cols = ot * oh * ow;
-    if out.dims() != [rows, cols] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: out.dims().to_vec(),
-            rhs: vec![rows, cols],
-            op: "im2col3d_into(out)",
-        });
-    }
-    Ok(ColGeom { t, h, w, ot, oh, ow, rows, cols })
 }
 
-/// Fills `stripe` (a `[stripe_rows × cols]` block starting at output row
-/// `row_start`) of the im2col matrix. The lowering is pure data movement
-/// — every element is an independent copy-or-zero — so running disjoint
-/// row ranges on different workers is trivially bit-identical to serial.
-fn im2col3d_rows(
+/// Writes row `row` of the im2col matrix (`g.cols` long) into `dst`.
+///
+/// A row fixes one input channel and one kernel tap `(kz, ky, kx)`, so
+/// for every output `(oz, oy)` the taps it reads along `ox` form one
+/// strided run of a single input row. The valid `ox` range is computed
+/// once per row; the padding on either side is zero-filled and the
+/// interior copied, with `copy_from_slice` at unit stride. Every element
+/// is still a plain copy-or-zero, so the output is bit-identical to the
+/// per-element lowering (the `#[cfg(test)]` oracle below).
+pub(crate) fn im2col3d_row(
     iv: &[f32],
     spec: &Conv3dSpec,
-    g: ColGeom,
-    row_start: usize,
-    stripe: &mut [f32],
+    g: &ColGeom,
+    row: usize,
+    dst: &mut [f32],
 ) {
-    let cols = g.cols;
-    for (local, out_row) in stripe.chunks_exact_mut(cols).enumerate() {
-        // Invert `row = ((ch·kt + kz)·kh + ky)·kw + kx`.
-        let row = row_start + local;
-        let kx = row % spec.kw;
-        let rest = row / spec.kw;
-        let ky = rest % spec.kh;
-        let rest = rest / spec.kh;
-        let kz = rest % spec.kt;
-        let ch = rest / spec.kt;
-        for oz in 0..g.ot {
-            let z = (oz * spec.st + kz) as isize - spec.pt as isize;
-            let z_ok = z >= 0 && (z as usize) < g.t;
-            for oy in 0..g.oh {
-                let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                let y_ok = y >= 0 && (y as usize) < g.h;
-                for ox in 0..g.ow {
-                    let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                    let col = (oz * g.oh + oy) * g.ow + ox;
-                    out_row[col] = if z_ok && y_ok && x >= 0 && (x as usize) < g.w {
-                        iv[((ch * g.t + z as usize) * g.h + y as usize) * g.w + x as usize]
-                    } else {
-                        0.0
-                    };
+    // Invert `row = ((ch·kt + kz)·kh + ky)·kw + kx`.
+    let kx = row % spec.kw;
+    let rest = row / spec.kw;
+    let ky = rest % spec.kh;
+    let rest = rest / spec.kh;
+    let kz = rest % spec.kt;
+    let ch = rest / spec.kt;
+    // Output columns whose tap `x = ox·sw + kx − pw` lands inside `[0, w)`.
+    let lo = if kx >= spec.pw { 0 } else { (spec.pw - kx).div_ceil(spec.sw) }.min(g.ow);
+    let hi = if kx >= g.w + spec.pw { 0 } else { (g.w + spec.pw - kx - 1) / spec.sw + 1 };
+    let hi = hi.clamp(lo, g.ow);
+    // First tap of the run; only read when the run is non-empty, where
+    // `lo·sw + kx ≥ pw` holds by construction.
+    let x0 = (lo * spec.sw + kx).saturating_sub(spec.pw);
+    for (oz, plane) in dst.chunks_exact_mut(g.oh * g.ow).enumerate() {
+        let Some(z) = (oz * spec.st + kz).checked_sub(spec.pt).filter(|&z| z < g.t) else {
+            plane.fill(0.0);
+            continue;
+        };
+        for (oy, out) in plane.chunks_exact_mut(g.ow).enumerate() {
+            let Some(y) = (oy * spec.sh + ky).checked_sub(spec.ph).filter(|&y| y < g.h) else {
+                out.fill(0.0);
+                continue;
+            };
+            out[..lo].fill(0.0);
+            out[hi..].fill(0.0);
+            if lo == hi {
+                continue;
+            }
+            let src = &iv[((ch * g.t + z) * g.h + y) * g.w + x0..][..g.w - x0];
+            let run = &mut out[lo..hi];
+            if spec.sw == 1 {
+                run.copy_from_slice(&src[..run.len()]);
+            } else {
+                for (o, taps) in run.iter_mut().zip(src.chunks(spec.sw)) {
+                    *o = taps[0];
                 }
             }
         }
     }
-}
-
-fn im2col3d_parallel(
-    iv: &[f32],
-    spec: &Conv3dSpec,
-    g: ColGeom,
-    ov: &mut [f32],
-    pool: &ThreadPool,
-) -> Result<(), TensorError> {
-    let ranges = row_ranges(g.rows, pool.threads());
-    if ranges.len() <= 1 {
-        im2col3d_rows(iv, spec, g, 0, ov);
-        return Ok(());
-    }
-    let input_shared: Arc<Vec<f32>> = Arc::new(iv.to_vec());
-    let spec = *spec;
-    let jobs: Vec<_> = ranges
-        .iter()
-        .map(|r| {
-            let input_shared = Arc::clone(&input_shared);
-            let (start, len) = (r.start, r.len());
-            move || {
-                let mut stripe = vec![0.0f32; len * g.cols];
-                im2col3d_rows(&input_shared, &spec, g, start, &mut stripe);
-                stripe
-            }
-        })
-        .collect();
-    let stripes = pool
-        .run(jobs)
-        .map_err(|e| TensorError::Parallel { op: "im2col3d_into", message: e.to_string() })?;
-    for (r, stripe) in ranges.iter().zip(stripes) {
-        ov[r.start * g.cols..r.end * g.cols].copy_from_slice(&stripe);
-    }
-    Ok(())
-}
-
-/// [`im2col3d`] writing into a preallocated `[rows, cols]` output — every
-/// position (padding zeros included) is overwritten, so the buffer can be
-/// reused across the items of a batch without clearing. This is the
-/// workspace-reuse entry point the batched inference path is built on:
-/// the column matrix is the largest allocation of a convolution forward,
-/// and sharing one across a batch amortizes its cost to one item.
-///
-/// Matrices large enough to amortize the dispatch split their rows
-/// across the intra-op pool ([`crate::set_intra_op_threads`]); the output
-/// is bit-identical to the serial lowering at any thread count.
-///
-/// # Errors
-///
-/// Returns an error for rank/shape mismatches or invalid geometry.
-pub fn im2col3d_into(
-    input: &Tensor,
-    spec: &Conv3dSpec,
-    out: &mut Tensor,
-) -> Result<(), TensorError> {
-    let g = im2col3d_geom(input, spec, out)?;
-    if g.rows.saturating_mul(g.cols) >= IM2COL_PAR_MIN_VOLUME {
-        if let Some(pool) = intra_op_pool() {
-            return im2col3d_parallel(input.as_slice(), spec, g, out.as_mut_slice(), &pool);
-        }
-    }
-    im2col3d_rows(input.as_slice(), spec, g, 0, out.as_mut_slice());
-    Ok(())
-}
-
-/// [`im2col3d_into`] on an explicit [`ThreadPool`], always taking the
-/// row-partitioned parallel path (no size threshold). Property tests use
-/// this to pin the thread count per case without mutating the global
-/// intra-op setting.
-///
-/// # Errors
-///
-/// Same as [`im2col3d_into`]; additionally [`TensorError::Parallel`] if a
-/// job panicked.
-pub fn im2col3d_into_with(
-    input: &Tensor,
-    spec: &Conv3dSpec,
-    out: &mut Tensor,
-    pool: &ThreadPool,
-) -> Result<(), TensorError> {
-    let g = im2col3d_geom(input, spec, out)?;
-    im2col3d_parallel(input.as_slice(), spec, g, out.as_mut_slice(), pool)
 }
 
 /// Folds a `[C·kt·kh·kw, out_t·out_h·out_w]` gradient matrix back onto a
@@ -471,69 +258,87 @@ pub fn col2im3d(
 mod tests {
     use super::*;
     use crate::Rng64;
+    use duo_check::{check, prop_assert_eq, Config};
 
-    /// Naive direct 2-D convolution used as the reference implementation.
-    fn conv2d_naive(input: &Tensor, weight: &Tensor, spec: &Conv2dSpec) -> Tensor {
-        let (c, h, w) = (input.dims()[0], input.dims()[1], input.dims()[2]);
-        let oc = weight.dims()[0];
-        let (oh, ow) = spec.output_hw(h, w).unwrap();
-        let mut out = Tensor::zeros(&[oc, oh, ow]);
-        for o in 0..oc {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut s = 0.0;
-                    for ch in 0..c {
-                        for ky in 0..spec.kh {
-                            for kx in 0..spec.kw {
-                                let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                                let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                                if y >= 0 && (y as usize) < h && x >= 0 && (x as usize) < w {
-                                    let iv = input.as_slice()
-                                        [(ch * h + y as usize) * w + x as usize];
-                                    let wv = weight.as_slice()
-                                        [((o * c + ch) * spec.kh + ky) * spec.kw + kx];
-                                    s += iv * wv;
-                                }
-                            }
-                        }
+    /// The per-element lowering the run kernel replaced: every element
+    /// re-derives its input index and bounds-checks it. Kept as the
+    /// oracle the run kernel must match bit for bit.
+    fn im2col3d_oracle(input: &Tensor, spec: &Conv3dSpec) -> Tensor {
+        let g = ColGeom::new(input, spec).unwrap();
+        let iv = input.as_slice();
+        let mut out = Tensor::zeros(&[g.rows, g.cols]);
+        let ot = g.cols / (g.oh * g.ow);
+        for (row, out_row) in out.as_mut_slice().chunks_exact_mut(g.cols).enumerate() {
+            let kx = row % spec.kw;
+            let rest = row / spec.kw;
+            let ky = rest % spec.kh;
+            let rest = rest / spec.kh;
+            let kz = rest % spec.kt;
+            let ch = rest / spec.kt;
+            for oz in 0..ot {
+                let z = (oz * spec.st + kz) as isize - spec.pt as isize;
+                let z_ok = z >= 0 && (z as usize) < g.t;
+                for oy in 0..g.oh {
+                    let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
+                    let y_ok = y >= 0 && (y as usize) < g.h;
+                    for ox in 0..g.ow {
+                        let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
+                        let col = (oz * g.oh + oy) * g.ow + ox;
+                        out_row[col] = if z_ok && y_ok && x >= 0 && (x as usize) < g.w {
+                            iv[((ch * g.t + z as usize) * g.h + y as usize) * g.w + x as usize]
+                        } else {
+                            0.0
+                        };
                     }
-                    out.as_mut_slice()[(o * oh + oy) * ow + ox] = s;
                 }
             }
         }
         out
     }
 
-    #[test]
-    fn im2col2d_matmul_matches_naive_conv() {
-        let mut rng = Rng64::new(21);
-        let spec = Conv2dSpec { in_channels: 2, kh: 3, kw: 3, sh: 2, sw: 1, ph: 1, pw: 1 };
-        let input = Tensor::randn(&[2, 5, 6], 1.0, rng.as_rng());
-        let weight = Tensor::randn(&[4, 2, 3, 3], 1.0, rng.as_rng());
-        let cols = im2col2d(&input, &spec).unwrap();
-        let wm = weight.reshape(&[4, 2 * 3 * 3]).unwrap();
-        let fast = wm.matmul(&cols).unwrap();
-        let slow = conv2d_naive(&input, &weight, &spec);
-        let (oh, ow) = spec.output_hw(5, 6).unwrap();
-        let fast = fast.reshape(&[4, oh, ow]).unwrap();
-        for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
-            assert!((a - b).abs() < 1e-4, "{a} vs {b}");
-        }
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    #[test]
-    fn col2im2d_is_adjoint_of_im2col2d() {
-        // <im2col(x), y> == <x, col2im(y)> for all x, y: the defining
-        // property of the adjoint, which is exactly what backprop requires.
-        let mut rng = Rng64::new(22);
-        let spec = Conv2dSpec { in_channels: 2, kh: 2, kw: 3, sh: 1, sw: 2, ph: 1, pw: 0 };
-        let x = Tensor::randn(&[2, 4, 7], 1.0, rng.as_rng());
-        let cols = im2col2d(&x, &spec).unwrap();
-        let y = Tensor::randn(cols.dims(), 1.0, rng.as_rng());
-        let lhs = cols.dot(&y).unwrap();
-        let back = col2im2d(&y, &spec, 4, 7).unwrap();
-        let rhs = x.dot(&back).unwrap();
-        assert!((lhs - rhs).abs() < 1e-2, "{lhs} vs {rhs}");
+    check! {
+        #![config(Config::default().with_cases(192))]
+
+        /// Strides 1–3, pads 0–3 (pad ≥ kernel included), kernels 1–4
+        /// (stride > kernel included), `kt = 1`, and output widths down
+        /// to 1: the run kernel's zero-fill and copy bounds must land on
+        /// the oracle's bits everywhere.
+        fn run_im2col_is_bitwise_per_element_oracle(
+            cs in (1usize..4, 0u64..0x1000_0000),
+            thw in (1usize..10, 1usize..10, 1usize..12),
+            k in (1usize..5, 1usize..5, 1usize..5),
+            s in (1usize..4, 1usize..4, 1usize..4),
+            p in (0usize..4, 0usize..4, 0usize..4),
+        ) {
+            let (chans, seed) = cs;
+            let spec = Conv3dSpec {
+                in_channels: chans,
+                kt: k.0,
+                kh: k.1,
+                kw: k.2,
+                st: s.0,
+                sh: s.1,
+                sw: s.2,
+                pt: p.0,
+                ph: p.1,
+                pw: p.2,
+            };
+            // Grow any extent the padded kernel would not fit.
+            let t = thw.0.max(k.0.saturating_sub(2 * p.0));
+            let h = thw.1.max(k.1.saturating_sub(2 * p.1));
+            let w = thw.2.max(k.2.saturating_sub(2 * p.2));
+            let mut rng = Rng64::new(seed);
+            let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
+            prop_assert_eq!(
+                bits(&im2col3d(&input, &spec).unwrap()),
+                bits(&im2col3d_oracle(&input, &spec)),
+                "[{chans},{t},{h},{w}] {spec:?}"
+            );
+        }
     }
 
     #[test]
@@ -553,14 +358,10 @@ mod tests {
     fn output_geometry_matches_formula() {
         let spec = Conv3dSpec::cubic(3, 3, (2, 2, 2), 1);
         assert_eq!(spec.output_thw(8, 16, 16).unwrap(), (4, 8, 8));
-        let spec2 = Conv2dSpec { in_channels: 1, kh: 3, kw: 3, sh: 1, sw: 1, ph: 0, pw: 0 };
-        assert_eq!(spec2.output_hw(5, 5).unwrap(), (3, 3));
     }
 
     #[test]
     fn rejects_oversized_kernels() {
-        let spec = Conv2dSpec { in_channels: 1, kh: 9, kw: 9, sh: 1, sw: 1, ph: 0, pw: 0 };
-        assert!(spec.output_hw(5, 5).is_err());
         let spec3 = Conv3dSpec::cubic(1, 5, (1, 1, 1), 0);
         assert!(spec3.output_thw(3, 8, 8).is_err());
     }

@@ -3,7 +3,7 @@
 //! This crate provides the numeric foundation that the rest of the
 //! workspace builds on: a contiguous row-major [`Tensor`] type with shape
 //! algebra, elementwise arithmetic, reductions and norms, blocked matrix
-//! multiplication, im2col-based 2-D/3-D convolution kernels, pooling, and
+//! multiplication, im2col-based 3-D convolution kernels, pooling, and
 //! deterministic random sampling helpers.
 //!
 //! The design goal is *auditability* rather than peak throughput: every
@@ -37,14 +37,11 @@ mod rng;
 mod shape;
 mod tensor;
 
-pub use conv::{
-    col2im2d, col2im3d, im2col2d, im2col3d, im2col3d_into, im2col3d_into_with, Conv2dSpec,
-    Conv3dSpec,
-};
+pub use conv::{col2im3d, im2col3d, Conv3dSpec};
 pub use error::TensorError;
 pub use json::{Json, ToJson};
 pub use matmul::{
-    gemm, gemm_bias, gemm_bias_packed, gemm_bias_with, gemm_packed, matmul_into,
+    gemm, gemm_bias, gemm_bias_with, gemm_im2col3d, gemm_im2col3d_with, matmul_into,
     matmul_into_reference, matmul_into_serial, matmul_into_with, PackedA,
 };
 pub use par::{

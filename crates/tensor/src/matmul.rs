@@ -17,6 +17,9 @@
 //! pool ([`crate::set_intra_op_threads`]) on packed-block boundaries,
 //! reusing one packed A/B pair across every stripe; the caller computes
 //! the first stripe inline while the ring workers chew the rest.
+//! [`gemm_im2col3d`] is the convolution forward: it lowers its input row
+//! by row straight into the packed B strips, so the im2col matrix is
+//! never materialized.
 //!
 //! # Determinism contract
 //!
@@ -40,8 +43,9 @@
 
 use std::sync::Arc;
 
+use crate::conv::{im2col3d_row, ColGeom};
 use crate::par::{intra_op_pool, row_ranges_blocked, ThreadPool};
-use crate::{Tensor, TensorError};
+use crate::{Conv3dSpec, Tensor, TensorError};
 
 /// Rows swept together by the fallback register-tiled micro-kernel.
 const MR: usize = 4;
@@ -163,12 +167,14 @@ mod workspace {
     }
 
     /// Returns a workspace to the bin for reuse (oversized or surplus
-    /// buffers are simply dropped).
+    /// buffers are simply dropped). `PackedA`'s `Drop` calls this, so it
+    /// must not panic: a poisoned lock is recovered, which is sound
+    /// because every update to the bin is a single push or removal.
     pub(super) fn give(buf: Vec<f32>) {
         if buf.capacity() == 0 || buf.capacity() > MAX_FLOATS {
             return;
         }
-        let mut bin = BIN.lock().expect("workspace bin lock");
+        let mut bin = BIN.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if bin.len() < MAX_ENTRIES {
             bin.push(buf);
         }
@@ -180,7 +186,7 @@ mod workspace {
 // ---------------------------------------------------------------------
 
 /// The left GEMM operand packed for the wide micro-kernel, reusable
-/// across calls ([`gemm_packed`] / [`gemm_bias_packed`]).
+/// across calls ([`gemm_im2col3d`]).
 ///
 /// Layout: rows are grouped into blocks of 8 (`MR8`); within block `b`,
 /// element `a[8b + r][p]` lives at `data[8bk + 8p + r]`, so the wide
@@ -192,10 +198,11 @@ mod workspace {
 /// is how the 4-row/1-row fallback kernels read it unchanged.
 ///
 /// The buffer is behind an `Arc`: cloning a `PackedA` (or handing it to
-/// pool workers) shares the packing instead of repeating it. A `PackedA`
+/// pool workers) shares the packing instead of repeating it. Dropping the
+/// last reference returns the buffer to the workspace bin. A `PackedA`
 /// is a snapshot — it does not observe later writes to the tensor it was
 /// packed from, so repack after any weight update (the nn layers pack
-/// per `infer_batch` call, which makes staleness impossible by
+/// per `infer`/`infer_batch` call, which makes staleness impossible by
 /// construction).
 #[derive(Clone)]
 pub struct PackedA {
@@ -249,13 +256,15 @@ impl PackedA {
     pub fn k(&self) -> usize {
         self.k
     }
+}
 
-    /// Returns the packing buffer to the workspace bin if this is the
-    /// last reference (internal: only for packings this module created
-    /// and never handed out).
-    fn reclaim(self) {
-        if let Ok(data) = Arc::try_unwrap(self.data) {
-            workspace::give(data);
+impl Drop for PackedA {
+    /// Hands the packing buffer back to the workspace bin once no clone
+    /// (and no pool worker) still shares it, so a layer that packs its
+    /// weight per call reuses one allocation.
+    fn drop(&mut self) {
+        if let Some(data) = Arc::get_mut(&mut self.data) {
+            workspace::give(std::mem::take(data));
         }
     }
 }
@@ -280,7 +289,6 @@ fn pack_b_slice(bv: &[f32], k: usize, n: usize) -> PackedB {
     // strip-outer order instead reads at stride `n` — jumps that cross a
     // page every couple of rows, defeat the prefetchers, and make
     // packing cost a measurable slice of the whole GEMM at depth ≥ 1024.
-    let full = n / NR2 * NR2;
     // Row-group blocking: 8 source rows (L1-resident) are scattered per
     // pass, so each strip receives one contiguous 8-row chunk instead of
     // a single [`NR2`]-wide sliver — sequential reads *and* chunked
@@ -288,25 +296,48 @@ fn pack_b_slice(bv: &[f32], k: usize, n: usize) -> PackedB {
     let mut p0 = 0;
     while p0 < k {
         let pg = MR8.min(k - p0);
-        let rows = &bv[p0 * n..(p0 + pg) * n];
-        let mut js = 0;
-        while js < full {
-            let dst = js * k + p0 * NR2;
-            for (p, row) in rows.chunks_exact(n).enumerate() {
-                data[dst + p * NR2..dst + p * NR2 + NR2].copy_from_slice(&row[js..js + NR2]);
-            }
-            js += NR2;
-        }
-        if full < n {
-            let w = n - full;
-            let dst = full * k + p0 * w;
-            for (p, row) in rows.chunks_exact(n).enumerate() {
-                data[dst + p * w..dst + p * w + w].copy_from_slice(&row[full..]);
-            }
-        }
+        scatter_b_rows(&mut data, k, n, p0, &bv[p0 * n..(p0 + pg) * n]);
         p0 += pg;
     }
     PackedB { data }
+}
+
+/// Packs `im2col3d(input, spec)` as the right GEMM operand without
+/// materializing it: each column-matrix row is lowered into one hot
+/// `n`-float row buffer (the tail of the same workspace buffer) and
+/// scattered into its strips. The strips are exactly what
+/// [`pack_b_slice`] would build from the materialized matrix.
+fn pack_b_im2col3d(input: &Tensor, spec: &Conv3dSpec, g: &ColGeom) -> PackedB {
+    let (k, n) = (g.rows, g.cols);
+    let mut data = workspace::take(k * n + n);
+    let (strips, row) = data.split_at_mut(k * n);
+    let iv = input.as_slice();
+    for p in 0..k {
+        im2col3d_row(iv, spec, g, p, row);
+        scatter_b_rows(strips, k, n, p, row);
+    }
+    PackedB { data }
+}
+
+/// Scatters consecutive rows `p0..` of a `[k × n]` right operand (`rows`,
+/// row-major, a whole number of rows) into the [`PackedB`] strip layout.
+fn scatter_b_rows(data: &mut [f32], k: usize, n: usize, p0: usize, rows: &[f32]) {
+    let full = n / NR2 * NR2;
+    let mut js = 0;
+    while js < full {
+        let dst = js * k + p0 * NR2;
+        for (p, row) in rows.chunks_exact(n).enumerate() {
+            data[dst + p * NR2..dst + p * NR2 + NR2].copy_from_slice(&row[js..js + NR2]);
+        }
+        js += NR2;
+    }
+    if full < n {
+        let w = n - full;
+        let dst = full * k + p0 * w;
+        for (p, row) in rows.chunks_exact(n).enumerate() {
+            data[dst + p * w..dst + p * w + w].copy_from_slice(&row[full..]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -385,61 +416,92 @@ pub fn gemm_bias_with(
     let (m, k, n) = validate(a, b, out)?;
     validate_bias(bias, n)?;
     let pa = PackedA::pack_slice(a.as_slice(), m, k);
-    let result =
-        gemm_parallel_packed(&pa, b.as_slice(), Some(bias.as_slice()), out.as_mut_slice(), n, pool);
-    pa.reclaim();
-    result
+    let pb = pack_b_slice(b.as_slice(), k, n);
+    gemm_parallel_packed(&pa, pb, Some(bias.as_slice()), out.as_mut_slice(), n, pool)
 }
 
-/// [`gemm`] against a pre-packed left operand, skipping the per-call A
-/// packing. `Conv3d::infer_batch` packs its weight matrix once and reuses
-/// it for every item in the batch.
+/// Convolution forward as one GEMM: `out = pa · im2col3d(input, spec)`,
+/// with `pa` the `[out_c, C·kt·kh·kw]` weight matrix packed once by the
+/// caller.
+///
+/// The column matrix is never materialized. Each of its rows is lowered
+/// into one hot row buffer and scattered straight into the packed B
+/// strips the micro-kernels read; that buffer comes from the same
+/// workspace bin as every other packing, so a forward allocates nothing
+/// once the bin is warm. Dispatch is [`gemm`]'s: volumes of at least
+/// `PAR_MIN_VOLUME` stripe rows across the intra-op pool over the one
+/// packed B, anything smaller runs the packed serial kernel. The result
+/// is bit-identical to `matmul_into(w, &im2col3d(input, spec)?, out)`:
+/// the strips hold the same bytes, and every path runs the same float
+/// program.
 ///
 /// # Errors
 ///
-/// Same shape errors as [`matmul_into`] with `a`'s shape taken from the
-/// packing.
-pub fn gemm_packed(pa: &PackedA, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
-    let n = validate_packed(pa, b, out)?;
-    gemm_packed_tiered(pa, b.as_slice(), None, out.as_mut_slice(), n)
-}
-
-/// [`gemm_bias`] against a pre-packed left operand.
-///
-/// # Errors
-///
-/// Same as [`gemm_packed`], plus bias shape errors as in [`gemm_bias`].
-pub fn gemm_bias_packed(
+/// Returns the lowering's rank/shape/geometry errors, and
+/// [`TensorError::ShapeMismatch`] if `pa`'s depth is not the lowering's
+/// row count or `out` is not `[pa.rows(), positions]`.
+pub fn gemm_im2col3d(
     pa: &PackedA,
-    b: &Tensor,
-    bias: &Tensor,
+    input: &Tensor,
+    spec: &Conv3dSpec,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    let n = validate_packed(pa, b, out)?;
-    validate_bias(bias, n)?;
-    gemm_packed_tiered(pa, b.as_slice(), Some(bias.as_slice()), out.as_mut_slice(), n)
+    let g = validate_im2col3d(pa, input, spec, out)?;
+    let pb = pack_b_im2col3d(input, spec, &g);
+    let volume = pa.rows.saturating_mul(pa.k).saturating_mul(g.cols);
+    if volume >= PAR_MIN_VOLUME {
+        if let Some(pool) = intra_op_pool() {
+            return gemm_parallel_packed(pa, pb, None, out.as_mut_slice(), g.cols, &pool);
+        }
+    }
+    gemm_packed_stripe(&pa.data, pa.rows, pa.k, &pb.data, g.cols, None, out.as_mut_slice());
+    workspace::give(pb.data);
+    Ok(())
 }
 
-fn validate_packed(pa: &PackedA, b: &Tensor, out: &Tensor) -> Result<usize, TensorError> {
-    if b.rank() != 2 {
-        return Err(TensorError::RankMismatch { expected: 2, actual: b.rank(), op: "matmul" });
-    }
-    let (k2, n) = (b.dims()[0], b.dims()[1]);
-    if pa.k != k2 {
+/// [`gemm_im2col3d`] on an explicit [`ThreadPool`], always taking the
+/// row-partitioned parallel path (no size threshold). Property tests use
+/// this to pin the thread count per case without mutating the global
+/// intra-op setting.
+///
+/// # Errors
+///
+/// Same as [`gemm_im2col3d`]; additionally [`TensorError::Parallel`] if a
+/// job panicked.
+pub fn gemm_im2col3d_with(
+    pa: &PackedA,
+    input: &Tensor,
+    spec: &Conv3dSpec,
+    out: &mut Tensor,
+    pool: &ThreadPool,
+) -> Result<(), TensorError> {
+    let g = validate_im2col3d(pa, input, spec, out)?;
+    let pb = pack_b_im2col3d(input, spec, &g);
+    gemm_parallel_packed(pa, pb, None, out.as_mut_slice(), g.cols, pool)
+}
+
+fn validate_im2col3d(
+    pa: &PackedA,
+    input: &Tensor,
+    spec: &Conv3dSpec,
+    out: &Tensor,
+) -> Result<ColGeom, TensorError> {
+    let g = ColGeom::new(input, spec)?;
+    if pa.k != g.rows {
         return Err(TensorError::ShapeMismatch {
             lhs: vec![pa.rows, pa.k],
-            rhs: b.dims().to_vec(),
-            op: "matmul",
+            rhs: vec![g.rows, g.cols],
+            op: "gemm_im2col3d",
         });
     }
-    if out.dims() != [pa.rows, n] {
+    if out.dims() != [pa.rows, g.cols] {
         return Err(TensorError::ShapeMismatch {
             lhs: out.dims().to_vec(),
-            rhs: vec![pa.rows, n],
-            op: "matmul_into(out)",
+            rhs: vec![pa.rows, g.cols],
+            op: "gemm_im2col3d(out)",
         });
     }
-    Ok(n)
+    Ok(g)
 }
 
 /// [`matmul_into`] forced onto the blocked serial kernel, regardless of
@@ -474,9 +536,8 @@ pub fn matmul_into_with(
 ) -> Result<(), TensorError> {
     let (m, k, n) = validate(a, b, out)?;
     let pa = PackedA::pack_slice(a.as_slice(), m, k);
-    let result = gemm_parallel_packed(&pa, b.as_slice(), None, out.as_mut_slice(), n, pool);
-    pa.reclaim();
-    result
+    let pb = pack_b_slice(b.as_slice(), k, n);
+    gemm_parallel_packed(&pa, pb, None, out.as_mut_slice(), n, pool)
 }
 
 /// The pre-blocking naive i-k-j kernel, kept as the benchmark baseline
@@ -543,16 +604,14 @@ fn gemm_tiered(
     if volume >= PAR_MIN_VOLUME {
         if let Some(pool) = intra_op_pool() {
             let pa = PackedA::pack_slice(av, m, k);
-            let result = gemm_parallel_packed(&pa, bv, bias, ov, n, &pool);
-            pa.reclaim();
-            return result;
+            let pb = pack_b_slice(bv, k, n);
+            return gemm_parallel_packed(&pa, pb, bias, ov, n, &pool);
         }
     }
     if volume >= FAST_MIN_VOLUME {
         let pa = PackedA::pack_slice(av, m, k);
         let pb = pack_b_slice(bv, k, n);
         gemm_packed_stripe(&pa.data, m, k, &pb.data, n, bias, ov);
-        pa.reclaim();
         workspace::give(pb.data);
         return Ok(());
     }
@@ -569,31 +628,9 @@ fn gemm_tiered(
     Ok(())
 }
 
-fn gemm_packed_tiered(
-    pa: &PackedA,
-    bv: &[f32],
-    bias: Option<&[f32]>,
-    ov: &mut [f32],
-    n: usize,
-) -> Result<(), TensorError> {
-    let volume = pa.rows.saturating_mul(pa.k).saturating_mul(n);
-    if volume >= PAR_MIN_VOLUME {
-        if let Some(pool) = intra_op_pool() {
-            return gemm_parallel_packed(pa, bv, bias, ov, n, &pool);
-        }
-    }
-    // The packing is already paid for, so even tiny products take the
-    // packed kernel (only B remains to pack — same cost as a legacy
-    // panel pass).
-    let pb = pack_b_slice(bv, pa.k, n);
-    gemm_packed_stripe(&pa.data, pa.rows, pa.k, &pb.data, n, bias, ov);
-    workspace::give(pb.data);
-    Ok(())
-}
-
-/// Row-partitioned parallel GEMM over packed operands. A and B are packed
-/// *once*; each worker shares them via `Arc`, computes an owned output
-/// stripe with the same [`gemm_packed_stripe`] kernel the serial path
+/// Row-partitioned parallel GEMM over packed operands. A and B arrive
+/// packed *once*; each worker shares them via `Arc`, computes an owned
+/// output stripe with the same [`gemm_packed_stripe`] kernel the serial path
 /// runs, and the caller stitches stripes back in range order. Stripe
 /// boundaries align to [`MR8`]-row packed blocks
 /// ([`row_ranges_blocked`]), so a worker's slice of the packed A buffer
@@ -603,7 +640,7 @@ fn gemm_packed_tiered(
 /// any partitioning.
 fn gemm_parallel_packed(
     pa: &PackedA,
-    bv: &[f32],
+    pb: PackedB,
     bias: Option<&[f32]>,
     ov: &mut [f32],
     n: usize,
@@ -611,7 +648,6 @@ fn gemm_parallel_packed(
 ) -> Result<(), TensorError> {
     let (rows, k) = (pa.rows, pa.k);
     let ranges = row_ranges_blocked(rows, pool.threads(), MR8);
-    let pb = pack_b_slice(bv, k, n);
     if ranges.len() <= 1 {
         gemm_packed_stripe(&pa.data, rows, k, &pb.data, n, bias, ov);
         workspace::give(pb.data);
@@ -1222,8 +1258,16 @@ mod tests {
         }
     }
 
+    /// A `[k, n]` right operand as a `[k, 1, 1, n]` clip under a unit
+    /// 1×1×1 kernel, whose im2col lowering is the identity reshape: it
+    /// lets [`gemm_im2col3d`] stand in for a plain packed-A GEMM.
+    fn unit_conv(b: &Tensor) -> (Tensor, Conv3dSpec) {
+        let (k, n) = (b.dims()[0], b.dims()[1]);
+        (b.reshape(&[k, 1, 1, n]).unwrap(), Conv3dSpec::cubic(k, 1, (1, 1, 1), 0))
+    }
+
     #[test]
-    fn gemm_packed_reuses_packing_across_right_operands() {
+    fn packed_a_is_reused_across_right_operands() {
         let mut rng = Rng64::new(23);
         let a = Tensor::randn(&[11, 19], 1.0, rng.as_rng());
         let pa = PackedA::pack(&a).unwrap();
@@ -1231,10 +1275,24 @@ mod tests {
             let b = Tensor::randn(&[19, 23], 1.0, rng.as_rng());
             let mut want = Tensor::zeros(&[11, 23]);
             matmul_into_serial(&a, &b, &mut want).unwrap();
+            let (x, spec) = unit_conv(&b);
             let mut got = Tensor::zeros(&[11, 23]);
-            gemm_packed(&pa, &b, &mut got).unwrap();
+            gemm_im2col3d(&pa, &x, &spec, &mut got).unwrap();
             assert_eq!(want.as_slice(), got.as_slice());
         }
+    }
+
+    #[test]
+    fn im2col3d_packing_equals_packing_the_column_matrix() {
+        // Strided and padded; n = 63 is one full strip and a 31-wide tail.
+        let mut rng = Rng64::new(24);
+        let spec = Conv3dSpec::cubic(2, 3, (2, 2, 1), 1);
+        let x = Tensor::randn(&[2, 5, 5, 7], 1.0, rng.as_rng());
+        let g = ColGeom::new(&x, &spec).unwrap();
+        let cols = crate::im2col3d(&x, &spec).unwrap();
+        let want = pack_b_slice(cols.as_slice(), g.rows, g.cols);
+        let got = pack_b_im2col3d(&x, &spec, &g);
+        assert_eq!(&got.data[..g.rows * g.cols], want.data.as_slice());
     }
 
     #[test]
@@ -1256,14 +1314,18 @@ mod tests {
     fn packed_entry_points_validate_shapes() {
         let a = Tensor::zeros(&[2, 3]);
         let pa = PackedA::pack(&a).unwrap();
-        let bad_b = Tensor::zeros(&[4, 2]);
+        let (x, spec) = unit_conv(&Tensor::zeros(&[3, 4]));
         let mut out = Tensor::zeros(&[2, 4]);
-        assert!(gemm_packed(&pa, &bad_b, &mut out).is_err());
-        let b = Tensor::zeros(&[3, 4]);
+        let (bad_x, bad_spec) = unit_conv(&Tensor::zeros(&[4, 4]));
+        assert!(gemm_im2col3d(&pa, &bad_x, &bad_spec, &mut out).is_err(), "depth mismatch");
+        assert!(gemm_im2col3d(&pa, &bad_x, &spec, &mut out).is_err(), "channel mismatch");
+        assert!(gemm_im2col3d(&pa, &Tensor::zeros(&[3, 4]), &spec, &mut out).is_err(), "rank");
         let mut bad_out = Tensor::zeros(&[2, 3]);
-        assert!(gemm_packed(&pa, &b, &mut bad_out).is_err());
+        assert!(gemm_im2col3d(&pa, &x, &spec, &mut bad_out).is_err());
+        let pool = ThreadPool::new(2);
+        assert!(gemm_im2col3d_with(&pa, &x, &spec, &mut bad_out, &pool).is_err());
         assert!(PackedA::pack(&Tensor::zeros(&[3])).is_err());
-        assert!(gemm_packed(&pa, &b, &mut out).is_ok());
+        assert!(gemm_im2col3d(&pa, &x, &spec, &mut out).is_ok());
     }
 
     #[test]
@@ -1329,8 +1391,9 @@ mod tests {
         let mut want = Tensor::zeros(&[16, 24]);
         matmul_into_serial(&a, &b, &mut want).unwrap();
         let pa = PackedA::pack(&a).unwrap();
+        let (x, spec) = unit_conv(&b);
         let mut stale = Tensor::full(&[16, 24], f32::NAN);
-        gemm_packed(&pa, &b, &mut stale).unwrap();
+        gemm_im2col3d(&pa, &x, &spec, &mut stale).unwrap();
         assert_eq!(want.as_slice(), stale.as_slice(), "NaN canary leaked into output");
     }
 

@@ -1,7 +1,7 @@
 //! Deterministic fixed-size thread pool for intra-op kernel parallelism.
 //!
-//! The parallel kernels in this crate ([`crate::matmul_into`],
-//! [`crate::im2col3d_into`] and the conv3d lowering built on them) split
+//! The parallel kernels in this crate ([`crate::matmul_into`] and the
+//! convolution forward [`crate::gemm_im2col3d`] built on it) split
 //! their *output rows* across workers. Each worker owns a disjoint,
 //! contiguous row range and runs exactly the same per-row code as the
 //! serial kernel, so the per-element `f32` accumulation order — and
@@ -319,8 +319,8 @@ fn resolve(requested: usize) -> usize {
 }
 
 /// Sets the process-wide intra-op thread count used by the parallel
-/// kernels ([`crate::matmul_into`], [`crate::im2col3d_into`] and the
-/// convolutions lowered onto them). `0` restores the automatic setting
+/// kernels ([`crate::matmul_into`] and the convolution forward
+/// [`crate::gemm_im2col3d`]). `0` restores the automatic setting
 /// (`available_parallelism`, capped at [`MAX_AUTO_THREADS`]).
 ///
 /// Results are **bit-identical at every setting** — this knob trades

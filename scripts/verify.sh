@@ -17,6 +17,12 @@ cargo test -q --offline --workspace
 # kernel's vectorization (and so any float-order slip in it) can differ
 # from the test profile's opt-level 2.
 cargo test -q --release --offline -p duo-retrieval --lib
+# The same for the kernels every backbone forward runs: the convolution
+# lowering's run kernel and its packing straight into GEMM strips
+# (duo-tensor), the lane Linear (duo-nn), and the GEMM/convolution
+# bit-identity suite.
+cargo test -q --release --offline -p duo-tensor -p duo-nn --lib
+cargo test -q --release --offline --test kernel_bit_identity
 
 # End-to-end benchmark: a package of its own (e2e_bench/, outside the
 # workspace) that drives the crates through their public APIs. Building

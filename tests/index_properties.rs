@@ -14,6 +14,12 @@
 //! candidate exactly — which is exactly the superset argument the IVF
 //! property uses.
 //!
+//! A hostile-input property rounds it off: a small valid `DUOINDX3`
+//! image, truncated at every section boundary and ±1 byte, bit-flipped
+//! in its header and directory, or given oversized counts, must load as
+//! `Err` (or, for a flip that leaves every check satisfied, as a system)
+//! and never panic.
+//!
 //! This suite persists failing case seeds to
 //! `tests/index_properties.regressions` (see [`duo_check`]); past
 //! failures replay before fresh generation.
@@ -21,6 +27,7 @@
 use duo::prelude::*;
 use duo_check::{check, prop_assert, prop_assert_eq, Config};
 use duo_retrieval::ScoredId;
+use std::sync::OnceLock;
 
 fn config() -> Config {
     Config::default()
@@ -296,4 +303,121 @@ check! {
         let (_, bytes2) = GalleryIndex::to_v3_bytes(&loaded).unwrap();
         prop_assert_eq!(bytes, bytes2);
     }
+
+    /// A hostile edit of one small valid image. `kind` picks the edit:
+    /// 0 truncates at a section boundary ± 1 byte, 1 flips up to four
+    /// random bits in the header and shard directory, 2 sets one count
+    /// (a shard's rows, `dim`, the shard count, the total, `nlist`,
+    /// `m_sub`) to an oversized value, and 3 adds `2^61` to a shard's
+    /// rows and to the total, so the id section's byte length wraps back
+    /// to its true value and only checked arithmetic can reject it.
+    fn hostile_duoindx3_images_are_errors(
+        kind in 0u8..4,
+        pick in 0usize..64,
+        n in 0usize..12,
+        s in 0u64..1_000_000,
+    ) {
+        let image = v3_image();
+        let mut bytes = image.bytes.clone();
+        let word = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+        let patch = |b: &mut Vec<u8>, at: usize, v: u64| b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        let shards = image.shards;
+        let must_fail = match kind {
+            0 => {
+                let b = image.boundaries[pick % image.boundaries.len()];
+                let cut = (b + n % 3).saturating_sub(1).min(bytes.len() - 1);
+                bytes.truncate(cut);
+                true
+            }
+            1 => {
+                let mut rng = Rng64::new(s);
+                for _ in 0..=n % 4 {
+                    let at = rng.below(V3_DIR_START + shards * V3_DIR_ENTRY);
+                    bytes[at] ^= 1 << rng.below(8);
+                }
+                false
+            }
+            2 => {
+                const HUGE: [u64; 6] = [1 << 20, 1 << 32, 1 << 40, 1 << 61, u64::MAX / 4, u64::MAX];
+                let value = HUGE[n % HUGE.len()];
+                let at = match pick % 6 {
+                    0 => V3_DIR_START + (pick / 6 % shards) * V3_DIR_ENTRY,
+                    1 => 64,
+                    2 => 56,
+                    3 => 80,
+                    4 => 16,
+                    _ => 32,
+                };
+                patch(&mut bytes, at, value);
+                true
+            }
+            _ => {
+                let at = V3_DIR_START + (pick % shards) * V3_DIR_ENTRY;
+                let (rows, total) = (word(&bytes, at), word(&bytes, 80));
+                patch(&mut bytes, at, rows.wrapping_add(1 << 61));
+                patch(&mut bytes, 80, total.wrapping_add(1 << 61));
+                true
+            }
+        };
+        let loaded = RetrievalSystem::from_v3_bytes(
+            image.backbone.clone(), &bytes, RetrievalConfig::default(),
+        );
+        if must_fail {
+            prop_assert!(loaded.is_err(), "kind {kind} pick {pick} n {n} loaded");
+        }
+    }
+}
+
+/// `DUOINDX3` layout: the header and fixed words end at byte 88, where
+/// the shard directory starts; each entry is `rows` plus six
+/// `(offset, len)` section pairs.
+const V3_DIR_START: usize = 88;
+const V3_DIR_ENTRY: usize = 8 + 6 * 16;
+
+/// The valid image the hostile property edits, built once.
+struct V3Image {
+    bytes: Vec<u8>,
+    shards: usize,
+    /// Every field and section boundary of the image, ascending.
+    boundaries: Vec<usize>,
+    backbone: Backbone,
+}
+
+fn v3_image() -> &'static V3Image {
+    static IMAGE: OnceLock<V3Image> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        // PQ, so every section is non-empty: 40 rows over 2 shards of 20,
+        // each shard training all 4 coarse lists.
+        let shards = 2;
+        let mode = IndexMode::pq(4, 2, 2, 4, 8);
+        let snapshot = GalleryIndex::with_mode(gallery(0xBAD, 40, 4), mode);
+        let mut rng = Rng64::new(9);
+        let backbone = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+        let sys = RetrievalSystem::from_index(
+            backbone.clone(),
+            &snapshot,
+            RetrievalConfig { m: 3, nodes: shards, threaded: false, index: mode },
+        )
+        .unwrap();
+        let (_, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
+        assert!(
+            RetrievalSystem::from_v3_bytes(backbone.clone(), &bytes, RetrievalConfig::default())
+                .is_ok(),
+            "the unedited image loads"
+        );
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let mut boundaries = vec![0, 8, 12, 16, 24, 32, 40, 48, 56, 64, 72, 80];
+        for shard in 0..shards {
+            let entry = V3_DIR_START + shard * V3_DIR_ENTRY;
+            boundaries.push(entry);
+            for slot in 0..6 {
+                let at = entry + 8 + slot * 16;
+                boundaries.extend([at, at + 8, word(at), word(at) + word(at + 8)]);
+            }
+        }
+        boundaries.push(bytes.len());
+        boundaries.sort_unstable();
+        boundaries.dedup();
+        V3Image { bytes, shards, boundaries, backbone }
+    })
 }

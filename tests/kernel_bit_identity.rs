@@ -1,12 +1,12 @@
 //! Bit-identity property suite for the parallel compute core.
 //!
 //! The PR 5 determinism contract: the threaded, cache-blocked kernels
-//! (`matmul_into_with`, `im2col3d_into_with`, and conv3d as their
-//! composition) produce outputs equal to the serial kernels at
-//! `f32::to_bits` granularity for every shape and every thread count —
-//! workers own disjoint output rows and run the identical per-element
-//! float program, so partitioning can never move a bit. Thread counts
-//! {1, 2, 3, 8} cover the degenerate pool, non-divisible row splits, and
+//! (`matmul_into_with`, and the convolution forward `gemm_im2col3d_with`)
+//! produce outputs equal to the serial kernels at `f32::to_bits`
+//! granularity for every shape and every thread count — workers own
+//! disjoint output rows and run the identical per-element float program,
+//! so partitioning can never move a bit. Thread counts {1, 2, 3, 8}
+//! cover the degenerate pool, non-divisible row splits, and
 //! oversubscription; the generated shapes land on every `MR`/`NR` tile
 //! remainder class.
 //!
@@ -14,15 +14,18 @@
 //! (`gemm_bias`, `gemm_bias_with`) must equal a GEMM followed by a bias
 //! loop, a `PackedA` reused across right operands must equal packing
 //! fresh, and every 8-row block remainder class must survive the packed
-//! kernel's full-depth store schedule.
+//! kernel's full-depth store schedule. The convolution forward lowers its
+//! input straight into the packed B strips; over strides, pads, kernel
+//! extents and output widths it must equal `matmul_into` against the
+//! materialized `im2col3d` matrix.
 //!
 //! Failing case seeds persist to `tests/properties.regressions` and
 //! replay before fresh generation (asserted at the bottom of this file).
 
 use duo_check::{check, prop_assert_eq, Config, Strategy};
 use duo_tensor::{
-    gemm_bias, gemm_bias_with, gemm_packed, im2col3d_into_with, matmul_into_serial,
-    matmul_into_with, Conv3dSpec, PackedA, Rng64, Tensor, ThreadPool,
+    gemm_bias, gemm_bias_with, gemm_im2col3d, gemm_im2col3d_with, im2col3d, matmul_into,
+    matmul_into_serial, matmul_into_with, Conv3dSpec, PackedA, Rng64, Tensor, ThreadPool,
 };
 use std::ops::Range;
 
@@ -114,12 +117,16 @@ check! {
         let packed = PackedA::pack(&a).unwrap();
         // One packing, two right operands — the reuse pattern of
         // `Conv3d::infer_batch` — must match the fresh serial kernel on
-        // both products.
+        // both products. A `[k, n]` operand is a `[k, 1, 1, n]` clip under
+        // a unit 1×1×1 kernel, whose lowering is the identity reshape, so
+        // the convolution forward keeps this property's GEMM shapes.
+        let unit = Conv3dSpec::cubic(k, 1, (1, 1, 1), 0);
         for bmat in [&b1, &b2] {
             let mut serial = Tensor::zeros(&[m, n]);
             matmul_into_serial(&a, bmat, &mut serial).unwrap();
+            let clip = bmat.reshape(&[k, 1, 1, n]).unwrap();
             let mut reused = Tensor::full(&[m, n], f32::NAN);
-            gemm_packed(&packed, bmat, &mut reused).unwrap();
+            gemm_im2col3d(&packed, &clip, &unit, &mut reused).unwrap();
             prop_assert_eq!(
                 bits(&serial),
                 bits(&reused),
@@ -128,33 +135,51 @@ check! {
         }
     }
 
-    fn threaded_im2col_is_bitwise_serial(
-        chans in 1usize..4,
-        thw in (3usize..8, 3usize..8, 3usize..8),
-        ksp in (1usize..4, 1usize..4, 0usize..3),
-        s in seed(),
+    fn packed_lowering_is_bitwise_im2col_gemm(
+        ocs in (1usize..20, 1usize..4, seed()),
+        thw in (1usize..7, 1usize..9, 1usize..40),
+        k in (1usize..5, 1usize..5, 1usize..5),
+        st in (1usize..4, 1usize..4, 1usize..4),
+        pad in (0usize..4, 0usize..4, 0usize..4),
     ) {
-        let (t, h, w) = thw;
-        let (kern, stride, pad) = ksp;
-        let spec = Conv3dSpec::cubic(chans, kern, (stride, stride, stride), pad);
+        // Strides 1–3, pads 0–3 (pad ≥ kernel included), kernels 1–4
+        // (stride > kernel and `kt = 1` included), output widths from 1
+        // across several 32-column strips, and row counts on every 8-row
+        // block remainder.
+        let (oc, chans, s) = ocs;
+        let spec = Conv3dSpec {
+            in_channels: chans,
+            kt: k.0,
+            kh: k.1,
+            kw: k.2,
+            st: st.0,
+            sh: st.1,
+            sw: st.2,
+            pt: pad.0,
+            ph: pad.1,
+            pw: pad.2,
+        };
+        let t = thw.0.max(k.0.saturating_sub(2 * pad.0));
+        let h = thw.1.max(k.1.saturating_sub(2 * pad.1));
+        let w = thw.2.max(k.2.saturating_sub(2 * pad.2));
         let mut rng = Rng64::new(s);
         let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
-        let (ot, oh, ow) = spec.output_thw(t, h, w).unwrap();
-        let rows = chans * kern * kern * kern;
-        let cols = ot * oh * ow;
-        let serial_pool = ThreadPool::new(1);
-        let mut serial = Tensor::zeros(&[rows, cols]);
-        im2col3d_into_with(&input, &spec, &mut serial, &serial_pool).unwrap();
-        for &threads in &THREADS[1..] {
-            let pool = ThreadPool::new(threads);
-            let mut par = Tensor::full(&[rows, cols], f32::NAN);
-            im2col3d_into_with(&input, &spec, &mut par, &pool).unwrap();
-            prop_assert_eq!(
-                bits(&serial),
-                bits(&par),
-                "im2col [{chans},{t},{h},{w}] k{kern} s{stride} p{pad} drifted at {threads} threads"
-            );
-        }
+        let cols = im2col3d(&input, &spec).unwrap();
+        let weight = Tensor::randn(&[oc, cols.dims()[0]], 1.0, rng.as_rng());
+        let mut want = Tensor::zeros(&[oc, cols.dims()[1]]);
+        matmul_into(&weight, &cols, &mut want).unwrap();
+        let packed = PackedA::pack(&weight).unwrap();
+        let mut fused = Tensor::full(want.dims(), f32::NAN);
+        gemm_im2col3d(&packed, &input, &spec, &mut fused).unwrap();
+        prop_assert_eq!(bits(&want), bits(&fused), "[{chans},{t},{h},{w}] oc{oc} {spec:?}");
+        let pool = ThreadPool::new(2);
+        let mut par = Tensor::full(want.dims(), f32::NAN);
+        gemm_im2col3d_with(&packed, &input, &spec, &mut par, &pool).unwrap();
+        prop_assert_eq!(
+            bits(&want),
+            bits(&par),
+            "[{chans},{t},{h},{w}] oc{oc} {spec:?} drifted on 2 workers"
+        );
     }
 
     fn threaded_conv3d_is_bitwise_serial(
@@ -173,19 +198,17 @@ check! {
         let cols = ot * oh * ow;
         let weight = Tensor::randn(&[oc, rows], 1.0, rng.as_rng());
 
-        // Serial conv3d: serial lowering, serial GEMM.
-        let serial_pool = ThreadPool::new(1);
-        let mut cols_serial = Tensor::zeros(&[rows, cols]);
-        im2col3d_into_with(&input, &spec, &mut cols_serial, &serial_pool).unwrap();
+        // Serial conv3d: the materialized lowering, serial GEMM.
         let mut out_serial = Tensor::zeros(&[oc, cols]);
-        matmul_into_serial(&weight, &cols_serial, &mut out_serial).unwrap();
+        matmul_into_serial(&weight, &im2col3d(&input, &spec).unwrap(), &mut out_serial).unwrap();
 
+        // Threaded conv3d: the lowering packed straight into B strips,
+        // rows striped across the pool.
+        let packed = PackedA::pack(&weight).unwrap();
         for &threads in &THREADS {
             let pool = ThreadPool::new(threads);
-            let mut cols_par = Tensor::zeros(&[rows, cols]);
-            im2col3d_into_with(&input, &spec, &mut cols_par, &pool).unwrap();
-            let mut out_par = Tensor::zeros(&[oc, cols]);
-            matmul_into_with(&weight, &cols_par, &mut out_par, &pool).unwrap();
+            let mut out_par = Tensor::full(&[oc, cols], f32::NAN);
+            gemm_im2col3d_with(&packed, &input, &spec, &mut out_par, &pool).unwrap();
             prop_assert_eq!(
                 bits(&out_serial),
                 bits(&out_par),
@@ -284,7 +307,7 @@ fn committed_regression_seeds_replay_before_fresh_generation() {
         !committed.is_empty(),
         "tests/properties.regressions must carry the PR 5 kernel seeds"
     );
-    for required in ["threaded_im2col_is_bitwise_serial", "fused_bias_gemm_is_bitwise_unfused"] {
+    for required in ["packed_lowering_is_bitwise_im2col_gemm", "fused_bias_gemm_is_bitwise_unfused"] {
         assert!(
             duo_check::parse_regressions(&text).iter().any(|(name, _)| name == required),
             "tests/properties.regressions must carry a seed for {required}"
