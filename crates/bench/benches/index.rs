@@ -1,8 +1,8 @@
 //! Shard-index benchmarks: the exact SoA + bounded top-m path against the
 //! seed per-entry scan, the IVF latency/recall trade-off, and the
-//! compressed-residual (PQ/SQ8) sweep behind `BENCH_index.json`.
+//! compressed-residual (PQ) entries behind `BENCH_index.json`.
 //!
-//! Five measurement families per gallery size:
+//! Four measurement families per gallery size:
 //!
 //! * `index/seed_scan_*` — the pre-index `DataNode::scan` implementation,
 //!   verbatim: one `Tensor::sq_distance` (with its per-entry shape check)
@@ -14,21 +14,19 @@
 //!   settings. Approximate: each run prints its measured recall@10
 //!   against the exact answer.
 //! * `index/pq_*` — IVF-PQ at the headline code shape (`m_sub = dim/8`
-//!   subspaces, 8-bit codes, rerank 32): LUT-driven ADC scan over the
+//!   subspaces, 8-bit codes, rerank 64): LUT-driven ADC scan over the
 //!   probed lists, exact f32 rescore of the top candidates.
-//! * `index/sq8_*` — per-dimension 8-bit scalar quantization of the
-//!   residuals, same probe/rerank settings.
 //!
 //! Besides wall-clock entries, the artifact carries **pseudo-metric**
 //! rows in the same schema (single-sample `trimmed_mean_s`), so the
 //! committed `BENCH_thresholds.txt` rules can gate the compression
 //! contract, not just latency:
 //!
-//! * `index/{exact,pq,sq8}_bytes_per_vec_<n>` — hot-path bytes touched
+//! * `index/{exact,pq}_bytes_per_vec_<n>` — hot-path bytes touched
 //!   per scanned row ([`ShardIndex::scan_bytes_per_row`]: packed codes
 //!   plus codec tables and coarse centroids amortized over the gallery;
 //!   `dim * 4` for the uncompressed f32 matrix).
-//! * `index/{pq,sq8}_recall_loss_<n>` — `1 − recall@10` from the index's
+//! * `index/pq_recall_loss_<n>` — `1 − recall@10` from the index's
 //!   own every-16th-query **audit** counters accumulated across the
 //!   timed runs (the same machinery live services report through
 //!   `ServiceStats`), so the gate exercises the production audit path.
@@ -36,9 +34,9 @@
 //!   rules compare against (rules are ratio-only, and the scale suffix
 //!   keeps smoke and full-scale artifacts from matching one-sided).
 //!
-//! The bench asserts audits actually fired for every compressed
-//! configuration before recording the loss row, so a broken audit path
-//! fails here rather than silently gating on a vacuous 0.
+//! The bench asserts audits actually fired for the PQ configuration
+//! before recording the loss row, so a broken audit path fails here
+//! rather than silently gating on a vacuous 0.
 //!
 //! The gallery is clustered (points = cluster center + small noise, the
 //! regime IVF is built for, and roughly what a trained metric embedding
@@ -173,22 +171,14 @@ fn main() {
             timed.push((name, ivf));
         }
 
-        // Compressed modes at the headline code shape: dim/8 subspaces of
-        // 8-bit codes for PQ, per-dimension 8-bit residuals for SQ8, both
+        // PQ at the headline code shape: dim/8 subspaces of 8-bit codes,
         // with an exact rerank tail over the top 64 ADC candidates.
         let nprobe = (nlist / 8).max(1);
         let m_sub = (d / 8).max(1);
-        let compressed = [
-            ("pq", IndexMode::pq(nlist, nprobe, m_sub, 8, 64)),
-            ("sq8", IndexMode::sq8(nlist, nprobe, 64)),
-        ];
-        let first_compressed = timed.len();
-        let mut recalls = Vec::new();
-        for (tag, mode) in compressed {
-            let idx = ShardIndex::build(&entries, mode, 7).unwrap();
-            recalls.push(measured_recall(&idx, &qs, &exact_ids));
-            timed.push((format!("index/{tag}_{n}_nlist{nlist}_nprobe{nprobe}"), idx));
-        }
+        let mode = IndexMode::pq(nlist, nprobe, m_sub, 8, 64);
+        let pq = ShardIndex::build(&entries, mode, 7).unwrap();
+        let recall = measured_recall(&pq, &qs, &exact_ids);
+        timed.push((format!("index/pq_{n}_nlist{nlist}_nprobe{nprobe}"), pq));
 
         // The threshold rules compare these entries with each other, so
         // they are sampled interleaved: host drift lands on all alike.
@@ -211,30 +201,24 @@ fn main() {
             start.elapsed().as_secs_f64()
         });
 
-        for (((tag, _), (name, idx)), recall) in
-            compressed.iter().zip(&timed[first_compressed..]).zip(recalls)
-        {
-            let stats = idx.stats();
-            let audited = stats.recall_at_m().unwrap_or_else(|| {
-                panic!("index/{tag}_{n}: no recall audits fired across the timed runs")
-            });
-            let bytes = idx.scan_bytes_per_row();
-            println!(
-                "  {name}: recall@{TOP_M} {recall:.4} (audited {audited:.4} over {} audits), \
-                 {bytes:.1} scan B/vec vs {} f32 B/vec, {} reranked rows",
-                stats.audit_queries,
-                d * 4,
-                stats.reranked_rows,
-            );
-            extra.push(BenchResult::from_times(
-                &format!("index/{tag}_bytes_per_vec_{n}"),
-                vec![bytes],
-            ));
-            extra.push(BenchResult::from_times(
-                &format!("index/{tag}_recall_loss_{n}"),
-                vec![f64::from(1.0 - audited)],
-            ));
-        }
+        let (name, pq) = timed.last().expect("the PQ entry is timed last");
+        let stats = pq.stats();
+        let audited = stats.recall_at_m().unwrap_or_else(|| {
+            panic!("index/pq_{n}: no recall audits fired across the timed runs")
+        });
+        let bytes = pq.scan_bytes_per_row();
+        println!(
+            "  {name}: recall@{TOP_M} {recall:.4} (audited {audited:.4} over {} audits), \
+             {bytes:.1} scan B/vec vs {} f32 B/vec, {} reranked rows",
+            stats.audit_queries,
+            d * 4,
+            stats.reranked_rows,
+        );
+        extra.push(BenchResult::from_times(&format!("index/pq_bytes_per_vec_{n}"), vec![bytes]));
+        extra.push(BenchResult::from_times(
+            &format!("index/pq_recall_loss_{n}"),
+            vec![f64::from(1.0 - audited)],
+        ));
     }
 
     let mut results = runner.results().to_vec();

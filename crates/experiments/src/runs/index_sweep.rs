@@ -8,7 +8,7 @@
 //! with the in-tree bench runner), this run measures wall-clock medians
 //! over a probe batch at experiment scale and emits one JSON row per
 //! `(gallery, nlist, nprobe)` point, paper-style. The compressed sweep
-//! adds PQ/SQ8 points at several probe depths with their hot-path
+//! adds PQ points at several probe depths with their hot-path
 //! bytes-per-vector, and asserts the equivalence contract at experiment
 //! scale: full probe + full-depth exact rerank must reproduce the exact
 //! scan answer for answer (distance bits included).
@@ -122,77 +122,67 @@ pub fn run(scale: Scale) -> RunResult {
     }
 
     // Compressed residual codes: PQ (dim/8 subspaces, 8-bit codebooks)
-    // and SQ8 (per-dimension 8-bit residuals), both with an exact rerank
-    // tail of 64 at the partial probe depths.
+    // with an exact rerank tail of 64 at the partial probe depths.
     let m_sub = (dim / 8).max(1);
-    for tag in ["pq", "sq8"] {
-        for nprobe in [(nlist / 16).max(1), (nlist / 8).max(1), nlist] {
-            let full = nprobe == nlist;
-            let rerank = if full { n } else { 64 };
-            let mode = match tag {
-                "pq" => IndexMode::pq(nlist, nprobe, m_sub, 8, rerank),
-                _ => IndexMode::sq8(nlist, nprobe, rerank),
-            };
-            let idx = ShardIndex::build(&entries, mode, 7)?;
-            let recall: f32 = queries
-                .iter()
-                .zip(&exact_ids)
-                .map(|(q, want)| {
-                    let got: Vec<VideoId> = idx.search(q, m).into_iter().map(|s| s.id).collect();
-                    recall_at_m(&got, want)
-                })
-                .sum::<f32>()
-                / queries.len() as f32;
-            let us = median_us(
-                || {
-                    for q in &queries {
-                        std::hint::black_box(idx.search(q, m));
-                    }
-                },
-                reps,
-                queries.len(),
-            );
-            let bytes = idx.scan_bytes_per_row();
-            println!(
-                "{:<34}{:>12}{:>12.4}   {bytes:.1} B/vec",
-                format!("{tag} n={n} {nlist}/{nprobe}"),
-                us,
-                recall
-            );
-            println!(
-                "row JSON: {{\"gallery\":{n},\"dim\":{dim},\"mode\":\"{tag}\",\"nlist\":{nlist},\
-                 \"nprobe\":{nprobe},\"exact_us\":{exact_us},\"{tag}_us\":{us},\
-                 \"recall_at_{m}\":{recall:.4},\"scan_bytes_per_vec\":{bytes:.2}}}"
-            );
-            if full {
-                // The equivalence contract at experiment scale: full
-                // probe + full-depth exact rerank is an exhaustive exact
-                // scan, answer for answer.
-                for (q, want) in queries.iter().zip(&exact_ids) {
-                    let got = idx.search(q, m);
-                    assert_eq!(
-                        got.len(),
-                        want.len(),
-                        "{tag} full probe + full rerank must match exact"
-                    );
-                    assert_eq!(
-                        got.iter().map(|s| s.id).collect::<Vec<_>>(),
-                        *want,
-                        "{tag} full probe + full rerank must match exact ids"
-                    );
+    for nprobe in [(nlist / 16).max(1), (nlist / 8).max(1), nlist] {
+        let full = nprobe == nlist;
+        let rerank = if full { n } else { 64 };
+        let mode = IndexMode::pq(nlist, nprobe, m_sub, 8, rerank);
+        let idx = ShardIndex::build(&entries, mode, 7)?;
+        let recall: f32 = queries
+            .iter()
+            .zip(&exact_ids)
+            .map(|(q, want)| {
+                let got: Vec<VideoId> = idx.search(q, m).into_iter().map(|s| s.id).collect();
+                recall_at_m(&got, want)
+            })
+            .sum::<f32>()
+            / queries.len() as f32;
+        let us = median_us(
+            || {
+                for q in &queries {
+                    std::hint::black_box(idx.search(q, m));
                 }
+            },
+            reps,
+            queries.len(),
+        );
+        let bytes = idx.scan_bytes_per_row();
+        println!(
+            "{:<34}{:>12}{:>12.4}   {bytes:.1} B/vec",
+            format!("pq n={n} {nlist}/{nprobe}"),
+            us,
+            recall
+        );
+        println!(
+            "row JSON: {{\"gallery\":{n},\"dim\":{dim},\"mode\":\"pq\",\"nlist\":{nlist},\
+             \"nprobe\":{nprobe},\"exact_us\":{exact_us},\"pq_us\":{us},\
+             \"recall_at_{m}\":{recall:.4},\"scan_bytes_per_vec\":{bytes:.2}}}"
+        );
+        if full {
+            // The equivalence contract at experiment scale: full
+            // probe + full-depth exact rerank is an exhaustive exact
+            // scan, answer for answer.
+            for (q, want) in queries.iter().zip(&exact_ids) {
+                let got = idx.search(q, m);
+                assert_eq!(got.len(), want.len(), "pq full probe + full rerank must match exact");
                 assert_eq!(
-                    queries
-                        .iter()
-                        .map(|q| idx.search(q, m).iter().map(|s| s.distance.to_bits()).collect())
-                        .collect::<Vec<Vec<u32>>>(),
-                    queries
-                        .iter()
-                        .map(|q| exact.search(q, m).iter().map(|s| s.distance.to_bits()).collect())
-                        .collect::<Vec<Vec<u32>>>(),
-                    "{tag} full-rerank distances must be bit-identical to exact"
+                    got.iter().map(|s| s.id).collect::<Vec<_>>(),
+                    *want,
+                    "pq full probe + full rerank must match exact ids"
                 );
             }
+            assert_eq!(
+                queries
+                    .iter()
+                    .map(|q| idx.search(q, m).iter().map(|s| s.distance.to_bits()).collect())
+                    .collect::<Vec<Vec<u32>>>(),
+                queries
+                    .iter()
+                    .map(|q| exact.search(q, m).iter().map(|s| s.distance.to_bits()).collect())
+                    .collect::<Vec<Vec<u32>>>(),
+                "pq full-rerank distances must be bit-identical to exact"
+            );
         }
     }
 

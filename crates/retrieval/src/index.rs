@@ -18,16 +18,15 @@
 //!   shard into `nlist` inverted lists; a query scans only the `nprobe`
 //!   nearest lists with *exact* distances (probed candidates are fully
 //!   re-ranked, never approximated).
-//! * **Compressed residual codes** — [`IndexMode::Pq`] and
-//!   [`IndexMode::Sq8`] keep the IVF coarse quantizer but score probed
-//!   candidates against quantized *residuals* (row − assigned centroid).
-//!   PQ splits each residual into `m_sub` subspaces, each encoded as one
-//!   byte against a seeded per-subspace codebook, and scores rows through
-//!   a per-probed-list lookup table (asymmetric distance computation:
+//! * **Compressed residual codes** — [`IndexMode::Pq`] keeps the IVF
+//!   coarse quantizer but scores probed candidates against
+//!   product-quantized *residuals* (row − assigned centroid): each
+//!   residual splits into `m_sub` subspaces, each encoded as one byte
+//!   against a seeded per-subspace codebook, and rows score through a
+//!   per-probed-list lookup table (asymmetric distance computation:
 //!   `m_sub` table adds per row, `m_sub` bytes per row on the scan path).
-//!   SQ8 stores one affine byte per dimension (`dim` bytes per row). An
-//!   optional exact-rerank tail rescores the top ADC candidates from the
-//!   retained f32 matrix, so full-depth rerank at full probe is
+//!   An optional exact-rerank tail rescores the top ADC candidates from
+//!   the retained f32 matrix, so full-depth rerank at full probe is
 //!   bit-identical to [`IndexMode::Exact`]. The byte-level on-disk
 //!   layout (`DUOINDX3`) and the ADC walkthrough live in DESIGN.md §6h.
 //!
@@ -148,19 +147,6 @@ pub enum IndexMode {
         /// rescores the `max(r, m)` best ADC candidates exactly.
         rerank: usize,
     },
-    /// IVF with 8-bit scalar-quantized residual codes: one affine byte
-    /// per dimension (`code = round((x − min_d) / step_d)`), so probed
-    /// rows decode inline at `dim` bytes per row — 1/4 of the f32 scan
-    /// footprint before table overheads. `rerank` as for
-    /// [`IndexMode::Pq`].
-    Sq8 {
-        /// Number of inverted lists (k-means centroids) per shard.
-        nlist: usize,
-        /// Lists scanned per query, nearest centroid first.
-        nprobe: usize,
-        /// Exact-rerank depth: `0` ranks by quantized distance alone.
-        rerank: usize,
-    },
 }
 
 impl Default for IndexMode {
@@ -200,54 +186,14 @@ impl IndexMode {
         IndexMode::Pq { nlist, nprobe, m_sub, nbits, rerank }
     }
 
-    /// Shorthand for [`IndexMode::Sq8`].
-    ///
-    /// ```
-    /// use duo_retrieval::{IndexMode, ShardIndex};
-    /// use duo_tensor::Tensor;
-    /// use duo_video::VideoId;
-    ///
-    /// let entries: Vec<(VideoId, Tensor)> = (0..16)
-    ///     .map(|i| {
-    ///         let feat = Tensor::from_vec(vec![i as f32, 0.5], &[2]).unwrap();
-    ///         (VideoId { class: i, instance: 0 }, feat)
-    ///     })
-    ///     .collect();
-    /// let sq8 = ShardIndex::build(&entries, IndexMode::sq8(2, 2, 16), 3)?;
-    /// // Full probe + full-depth rerank: exact answers from 1-byte codes.
-    /// assert_eq!(sq8.search(&[6.1, 0.5], 1)[0].id.class, 6);
-    /// # Ok::<(), duo_retrieval::RetrievalError>(())
-    /// ```
-    pub fn sq8(nlist: usize, nprobe: usize, rerank: usize) -> Self {
-        IndexMode::Sq8 { nlist, nprobe, rerank }
-    }
-
-    /// Whether this mode scans the whole shard (no coarse quantizer).
-    pub fn is_exact(&self) -> bool {
-        matches!(self, IndexMode::Exact)
-    }
-
     /// The coarse quantizer's `(nlist, nprobe)`, or `None` in exact mode.
     pub fn coarse_params(&self) -> Option<(usize, usize)> {
         match *self {
             IndexMode::Exact => None,
-            IndexMode::Ivf { nlist, nprobe }
-            | IndexMode::Pq { nlist, nprobe, .. }
-            | IndexMode::Sq8 { nlist, nprobe, .. } => Some((nlist, nprobe)),
+            IndexMode::Ivf { nlist, nprobe } | IndexMode::Pq { nlist, nprobe, .. } => {
+                Some((nlist, nprobe))
+            }
         }
-    }
-
-    /// The exact-rerank depth (0 for modes that never rerank).
-    pub fn rerank_depth(&self) -> usize {
-        match *self {
-            IndexMode::Pq { rerank, .. } | IndexMode::Sq8 { rerank, .. } => rerank,
-            _ => 0,
-        }
-    }
-
-    /// Whether this mode scores quantized residual codes (PQ or SQ8).
-    pub fn is_compressed(&self) -> bool {
-        matches!(self, IndexMode::Pq { .. } | IndexMode::Sq8 { .. })
     }
 
     /// Validates the mode's parameters.
@@ -304,12 +250,6 @@ impl ToJson for IndexMode {
                 ("nbits".to_string(), Json::Int(i128::from(nbits))),
                 ("rerank".to_string(), Json::Int(rerank as i128)),
             ]),
-            IndexMode::Sq8 { nlist, nprobe, rerank } => Json::object(vec![
-                ("mode".to_string(), Json::Str("sq8".to_string())),
-                ("nlist".to_string(), Json::Int(nlist as i128)),
-                ("nprobe".to_string(), Json::Int(nprobe as i128)),
-                ("rerank".to_string(), Json::Int(rerank as i128)),
-            ]),
         }
     }
 }
@@ -323,8 +263,8 @@ pub fn shard_seed(shard: usize) -> u64 {
 
 /// The deterministic k-means seed for PQ subspace `sub` of a shard
 /// trained with `seed`. Every codebook retrain — fresh build, epoch
-/// rebuild of a dirty shard, `DUOINDX2` reload — derives subspace seeds
-/// through this one function, so identical residuals always train
+/// rebuild of a dirty shard, in-memory re-sharding — derives subspace
+/// seeds through this one function, so identical residuals always train
 /// identical codebooks (the determinism doctrine, DESIGN.md §6h).
 pub fn pq_subspace_seed(seed: u64, sub: usize) -> u64 {
     seed ^ (0xA5C0_0B00_u64.wrapping_add(sub as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -504,7 +444,7 @@ fn adc_panel(lut: &[f32], ksub: usize, panel: &[u8], width: usize) -> [f32; CODE
 }
 
 /// A trained inverted-file structure: `nlist` centroids plus the row
-/// indices assigned to each. Shared by the IVF, PQ, and SQ8 modes as the
+/// indices assigned to each. Shared by the IVF and PQ modes as the
 /// coarse quantizer.
 #[derive(Debug, Clone)]
 struct Ivf {
@@ -621,27 +561,6 @@ fn transpose_blocks(data: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     out
 }
 
-/// A trained per-dimension affine scalar quantizer over coarse
-/// residuals: `code = round((x − mins[d]) / steps[d])`, clamped to a
-/// byte; decode is `mins[d] + steps[d] * code`.
-#[derive(Debug, Clone)]
-struct Sq8Codec {
-    mins: Vec<f32>,
-    steps: Vec<f32>,
-    /// Row-major residual codes, `dim` bytes per row.
-    codes: Vec<u8>,
-    rerank: usize,
-}
-
-/// The residual codec of a compressed index. The per-row coarse
-/// assignment the residuals were taken against lives on the
-/// [`ShardIndex`] (`coarse_assign`), shared with the plain IVF mode.
-#[derive(Debug, Clone)]
-enum Codec {
-    Pq(PqCodec),
-    Sq8(Sq8Codec),
-}
-
 /// Aggregated scan counters for one index (or, merged, for a whole
 /// system). All counters are monotonic; [`IndexStats::recall_at_m`]
 /// derives the running recall estimate from the audit counters.
@@ -653,8 +572,8 @@ pub struct IndexStats {
     pub probed_lists: u64,
     /// Feature rows pushed through the distance kernel.
     pub scanned_rows: u64,
-    /// ADC candidates exact-rescored by the rerank tail (0 outside
-    /// compressed modes or with `rerank == 0`).
+    /// ADC candidates exact-rescored by the rerank tail (0 outside PQ
+    /// mode or with `rerank == 0`).
     pub reranked_rows: u64,
     /// Coarse-mode queries that were recall-audited against an exact
     /// scan.
@@ -718,8 +637,6 @@ pub struct IndexBreakdown {
     pub ivf: IndexStats,
     /// Counters of shards serving [`IndexMode::Pq`].
     pub pq: IndexStats,
-    /// Counters of shards serving [`IndexMode::Sq8`].
-    pub sq8: IndexStats,
     /// Bytes of retained f32 feature matrix across shards.
     pub feature_bytes: u64,
     /// Bytes of compressed codes plus codec tables across shards (0 for
@@ -728,7 +645,7 @@ pub struct IndexBreakdown {
 }
 
 duo_tensor::impl_to_json!(struct IndexBreakdown {
-    total, exact, ivf, pq, sq8, feature_bytes, code_bytes
+    total, exact, ivf, pq, feature_bytes, code_bytes
 });
 
 impl IndexBreakdown {
@@ -740,7 +657,6 @@ impl IndexBreakdown {
             IndexMode::Exact => self.exact.merge(stats),
             IndexMode::Ivf { .. } => self.ivf.merge(stats),
             IndexMode::Pq { .. } => self.pq.merge(stats),
-            IndexMode::Sq8 { .. } => self.sq8.merge(stats),
         }
     }
 }
@@ -760,8 +676,8 @@ pub struct ShardIndex {
     /// with `ivf.lists` but kept flat for residual decoding and the
     /// `DUOINDX3` writer.
     coarse_assign: Vec<u32>,
-    /// The residual codec and its codes (compressed modes only).
-    codec: Option<Codec>,
+    /// The product quantizer and its codes (PQ mode only).
+    codec: Option<PqCodec>,
     queries: AtomicU64,
     probed_lists: AtomicU64,
     scanned_rows: AtomicU64,
@@ -835,27 +751,39 @@ impl ShardIndex {
                 )));
             }
         }
-        let (ivf, coarse_assign, packed) = match mode.coarse_params() {
+        let trained = match mode.coarse_params() {
             Some((nlist, nprobe)) if !ids.is_empty() => {
                 let packed = LanePanels::pack(&feats, ids.len(), dim);
                 let (ivf, assign) = train_ivf(&packed, nlist, nprobe, seed);
-                (Some(ivf), assign, Some(packed))
-            }
-            _ => (None, Vec::new(), None),
-        };
-        let codec = match (mode, &ivf, &packed) {
-            (IndexMode::Pq { m_sub, nbits, rerank, .. }, Some(ivf), Some(packed)) => {
-                let (codebooks, codes) =
-                    train_pq(packed, &ivf.centroids, &coarse_assign, m_sub, nbits, seed);
-                let pq = PqCodec::new(m_sub, dim / m_sub, &codebooks, &codes, &ivf.lists, rerank);
-                Some(Codec::Pq(pq))
-            }
-            (IndexMode::Sq8 { rerank, .. }, Some(ivf), _) => {
-                Some(Codec::Sq8(train_sq8(&feats, dim, &ivf.centroids, &coarse_assign, rerank)))
+                let codec = match mode {
+                    IndexMode::Pq { m_sub, nbits, rerank, .. } => {
+                        let (books, codes) =
+                            train_pq(&packed, &ivf.centroids, &assign, m_sub, nbits, seed);
+                        Some(PqCodec::new(m_sub, dim / m_sub, &books, &codes, &ivf.lists, rerank))
+                    }
+                    _ => None,
+                };
+                Some((ivf, assign, codec))
             }
             _ => None,
         };
-        Ok(ShardIndex {
+        Ok(Self::assemble(ids, feats, dim, mode, trained))
+    }
+
+    /// An index with zeroed counters over rows and, in the coarse modes,
+    /// their trained quantizer, coarse assignment and PQ codec.
+    fn assemble(
+        ids: Vec<VideoId>,
+        feats: Vec<f32>,
+        dim: usize,
+        mode: IndexMode,
+        trained: Option<(Ivf, Vec<u32>, Option<PqCodec>)>,
+    ) -> Self {
+        let (ivf, coarse_assign, codec) = match trained {
+            Some((ivf, assign, codec)) => (Some(ivf), assign, codec),
+            None => (None, Vec::new(), None),
+        };
+        ShardIndex {
             ids,
             feats,
             dim,
@@ -870,7 +798,7 @@ impl ShardIndex {
             audit_queries: AtomicU64::new(0),
             audit_hits: AtomicU64::new(0),
             audit_expected: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Number of indexed rows.
@@ -927,8 +855,11 @@ impl ShardIndex {
     }
 
     /// The local top-`m` nearest rows to `query`, ascending by
-    /// `(distance, id)`. Exact mode is bit-identical to the seed scan;
-    /// IVF mode scans the `nprobe` nearest lists with exact distances.
+    /// `(distance, id)`. Two scoring paths serve every mode: exact
+    /// distances over the whole shard (exact mode) or over the `nprobe`
+    /// nearest lists (IVF), and PQ's ADC scan of the probed lists with an
+    /// optional exact rerank tail. Exact mode is bit-identical to the
+    /// seed scan.
     ///
     /// # Panics
     ///
@@ -945,41 +876,48 @@ impl ShardIndex {
             self.dim,
             "query dimension must match the index dimension"
         );
-        match &self.ivf {
+        let Some(ivf) = &self.ivf else {
+            self.scanned_rows.fetch_add(self.ids.len() as u64, Ordering::Relaxed);
+            return self.rank_exact(0..self.ids.len(), query, m);
+        };
+        let probed = self.probed_lists(ivf, query);
+        let scanned = probed.iter().map(|&l| ivf.lists[l].len()).sum::<usize>();
+        self.probed_lists.fetch_add(probed.len() as u64, Ordering::Relaxed);
+        self.scanned_rows.fetch_add(scanned as u64, Ordering::Relaxed);
+        let results = match &self.codec {
             None => {
-                self.scanned_rows.fetch_add(self.ids.len() as u64, Ordering::Relaxed);
-                self.scan_all(query, m)
+                let rows = probed.iter().flat_map(|&l| ivf.lists[l].iter().map(|&r| r as usize));
+                self.rank_exact(rows, query, m)
             }
-            Some(ivf) => {
-                let results = match &self.codec {
-                    None => self.scan_ivf(ivf, query, m),
-                    Some(Codec::Pq(pq)) => self.scan_pq(ivf, pq, query, m),
-                    Some(Codec::Sq8(sq)) => self.scan_sq8(ivf, sq, query, m),
-                };
-                if qidx % AUDIT_PERIOD == 0 {
-                    // Recall audit: compare against the exact answer
-                    // (counted separately; audit scans do not inflate the
-                    // kernel-row counter).
-                    let exact = self.scan_all(query, m);
-                    let hits = results
-                        .iter()
-                        .filter(|s| exact.iter().any(|e| e.id == s.id))
-                        .count() as u64;
-                    self.audit_queries.fetch_add(1, Ordering::Relaxed);
-                    self.audit_hits.fetch_add(hits, Ordering::Relaxed);
-                    self.audit_expected.fetch_add(exact.len() as u64, Ordering::Relaxed);
-                }
-                results
+            Some(pq) => {
+                let candidates = self.scan_pq(ivf, pq, &probed, scanned, query);
+                self.select(candidates, pq.rerank, query, m)
             }
+        };
+        if qidx % AUDIT_PERIOD == 0 {
+            // Recall audit: compare against the exact answer (counted
+            // separately; audit scans do not inflate the kernel-row
+            // counter).
+            let exact = self.rank_exact(0..self.ids.len(), query, m);
+            let hits = results.iter().filter(|s| exact.iter().any(|e| e.id == s.id)).count();
+            self.audit_queries.fetch_add(1, Ordering::Relaxed);
+            self.audit_hits.fetch_add(hits as u64, Ordering::Relaxed);
+            self.audit_expected.fetch_add(exact.len() as u64, Ordering::Relaxed);
         }
+        results
     }
 
-    /// Exhaustive scan over the SoA matrix.
-    fn scan_all(&self, query: &[f32], m: usize) -> Vec<ScoredId> {
+    /// The top-`m` of `rows` by exact distance to `query`. Every exact
+    /// answer ranks here: whole-shard scans and recall audits, IVF
+    /// probes, and the rerank tail.
+    fn rank_exact(
+        &self,
+        rows: impl IntoIterator<Item = usize>,
+        query: &[f32],
+        m: usize,
+    ) -> Vec<ScoredId> {
         let mut top = TopM::new(m);
-        exact_distances(&self.feats, self.dim, query, 0..self.ids.len(), |r, d| {
-            top.push(d, self.ids[r]);
-        });
+        exact_distances(&self.feats, self.dim, query, rows, |r, d| top.push(d, self.ids[r]));
         top.into_sorted()
     }
 
@@ -996,25 +934,6 @@ impl ShardIndex {
         order.into_iter().map(|(_, c)| c).collect()
     }
 
-    /// Counts one coarse scan: `probed` lists, every member row scanned.
-    /// Returns the scanned row count.
-    fn count_probe(&self, ivf: &Ivf, probed: &[usize]) -> usize {
-        let scanned = probed.iter().map(|&l| ivf.lists[l].len()).sum::<usize>();
-        self.probed_lists.fetch_add(probed.len() as u64, Ordering::Relaxed);
-        self.scanned_rows.fetch_add(scanned as u64, Ordering::Relaxed);
-        scanned
-    }
-
-    /// IVF probe: scan the `nprobe` nearest lists exhaustively.
-    fn scan_ivf(&self, ivf: &Ivf, query: &[f32], m: usize) -> Vec<ScoredId> {
-        let probed = self.probed_lists(ivf, query);
-        self.count_probe(ivf, &probed);
-        let rows = probed.iter().flat_map(|&l| ivf.lists[l].iter().map(|&r| r as usize));
-        let mut top = TopM::new(m);
-        exact_distances(&self.feats, self.dim, query, rows, |r, d| top.push(d, self.ids[r]));
-        top.into_sorted()
-    }
-
     /// The residual query `q − centroid[list]`.
     fn residual_query(&self, ivf: &Ivf, list: usize, query: &[f32], rq: &mut [f32]) {
         let centroid = &ivf.centroids[list * self.dim..(list + 1) * self.dim];
@@ -1023,16 +942,22 @@ impl ShardIndex {
         }
     }
 
-    /// PQ probe: per probed list, build the ADC lookup table for the
+    /// PQ probe: per `probed` list, build the ADC lookup table for the
     /// residual query `q − centroid`, then score the list's code panels
-    /// through [`adc_panel`] (`m_sub` table adds per row). Candidates go
-    /// to [`ShardIndex::select`].
-    fn scan_pq(&self, ivf: &Ivf, pq: &PqCodec, query: &[f32], m: usize) -> Vec<ScoredId> {
-        let probed = self.probed_lists(ivf, query);
-        let mut candidates = Vec::with_capacity(self.count_probe(ivf, &probed));
+    /// through [`adc_panel`] (`m_sub` table adds per row). Returns one
+    /// [`candidate_key`] per scanned row (`scanned` in all).
+    fn scan_pq(
+        &self,
+        ivf: &Ivf,
+        pq: &PqCodec,
+        probed: &[usize],
+        scanned: usize,
+        query: &[f32],
+    ) -> Vec<u64> {
+        let mut candidates = Vec::with_capacity(scanned);
         let mut rq = vec![0.0f32; self.dim];
         let mut lut = vec![0.0f32; pq.m_sub * pq.ksub];
-        for &list in &probed {
+        for &list in probed {
             let rows = &ivf.lists[list];
             if rows.is_empty() {
                 continue;
@@ -1051,67 +976,14 @@ impl ShardIndex {
                 candidates.extend(adc.iter().zip(rows).map(|(&d, &r)| candidate_key(d, r)));
             }
         }
-        self.select(candidates, pq.rerank, query, m)
+        candidates
     }
 
-    /// SQ8 probe: per probed list, decode each row's residual bytes
-    /// inline against the residual query (`dim` bytes per row).
-    ///
-    /// The decode is algebraically folded so the hot loop stays lean:
-    /// `q − (min + step·c) = (q − centroid − min) − step·c`, and the
-    /// parenthesized shift depends only on the probed list, so it is
-    /// hoisted into `tq` once per list. The squared-diff accumulation
-    /// runs in eight independent lanes (summed in a fixed order at the
-    /// end, so ADC distances stay deterministic) to break the serial
-    /// float dependency chain and let the compiler vectorize the
-    /// byte→f32 decode.
-    fn scan_sq8(&self, ivf: &Ivf, sq: &Sq8Codec, query: &[f32], m: usize) -> Vec<ScoredId> {
-        const LANES: usize = 8;
-        let probed = self.probed_lists(ivf, query);
-        let mut candidates = Vec::with_capacity(self.count_probe(ivf, &probed));
-        let mut tq = vec![0.0f32; self.dim];
-        let tail = self.dim - self.dim % LANES;
-        for &list in &probed {
-            if ivf.lists[list].is_empty() {
-                continue;
-            }
-            self.residual_query(ivf, list, query, &mut tq);
-            for (t, min) in tq.iter_mut().zip(&sq.mins) {
-                *t -= min;
-            }
-            for &row in &ivf.lists[list] {
-                let r = row as usize;
-                let code = &sq.codes[r * self.dim..(r + 1) * self.dim];
-                let mut lanes = [0.0f32; LANES];
-                for ((cs, ts), ss) in code
-                    .chunks_exact(LANES)
-                    .zip(tq.chunks_exact(LANES))
-                    .zip(sq.steps.chunks_exact(LANES))
-                {
-                    for j in 0..LANES {
-                        let diff = ts[j] - ss[j] * f32::from(cs[j]);
-                        lanes[j] += diff * diff;
-                    }
-                }
-                let mut acc = lanes.iter().sum::<f32>();
-                for ((&c, &t), &s) in
-                    code[tail..].iter().zip(&tq[tail..]).zip(&sq.steps[tail..])
-                {
-                    let diff = t - s * f32::from(c);
-                    acc += diff * diff;
-                }
-                candidates.push(candidate_key(acc, row));
-            }
-        }
-        self.select(candidates, sq.rerank, query, m)
-    }
-
-    /// Ranks a compressed scan's candidates ([`candidate_key`]s of
-    /// approximate distance and row). With `rerank == 0` they rank
-    /// directly into the top-`m`. Otherwise the best `max(rerank, m)`
-    /// under `(distance, row)` are selected and rescored exactly from the
-    /// f32 matrix into the top-`m`. Both orders are total, so the result
-    /// does not depend on scan order.
+    /// Ranks ADC candidates ([`candidate_key`]s of approximate distance
+    /// and row). With `rerank == 0` they rank directly into the top-`m`.
+    /// Otherwise the best `max(rerank, m)` under `(distance, row)` are
+    /// selected and rescored exactly by [`ShardIndex::rank_exact`]. Both
+    /// orders are total, so the result does not depend on scan order.
     fn select(
         &self,
         mut candidates: Vec<u64>,
@@ -1119,8 +991,8 @@ impl ShardIndex {
         query: &[f32],
         m: usize,
     ) -> Vec<ScoredId> {
-        let mut top = TopM::new(m);
         if rerank == 0 {
+            let mut top = TopM::new(m);
             for key in candidates {
                 let (d, row) = candidate_parts(key);
                 top.push(d, self.ids[row as usize]);
@@ -1132,10 +1004,9 @@ impl ShardIndex {
             candidates.select_nth_unstable(keep - 1);
             candidates.truncate(keep);
         }
-        let rows = candidates.iter().map(|&key| candidate_parts(key).1 as usize);
-        exact_distances(&self.feats, self.dim, query, rows, |r, d| top.push(d, self.ids[r]));
         self.reranked_rows.fetch_add(candidates.len() as u64, Ordering::Relaxed);
-        top.into_sorted()
+        let rows = candidates.iter().map(|&key| candidate_parts(key).1 as usize);
+        self.rank_exact(rows, query, m)
     }
 
     /// Materializes `(id, feature)` pairs in row order. This clones every
@@ -1177,24 +1048,19 @@ impl ShardIndex {
         (self.feats.len() * 4) as u64
     }
 
-    /// Bytes of compressed residual codes plus codec tables (codebooks
-    /// for PQ, min/step tables for SQ8); 0 for uncompressed modes.
+    /// Bytes of PQ residual codes plus codebooks; 0 for uncompressed
+    /// modes.
     pub fn code_bytes(&self) -> u64 {
-        let bytes = match &self.codec {
-            None => 0,
-            Some(Codec::Pq(pq)) => {
-                pq.codes.iter().map(Vec::len).sum::<usize>() + pq.codebooks.len() * 4
-            }
-            Some(Codec::Sq8(sq)) => sq.codes.len() + (sq.mins.len() + sq.steps.len()) * 4,
-        };
-        bytes as u64
+        self.codec.as_ref().map_or(0, |pq| {
+            (pq.codes.iter().map(Vec::len).sum::<usize>() + pq.codebooks.len() * 4) as u64
+        })
     }
 
     /// Resident bytes the hot scan path touches, amortized per row:
-    /// `dim × 4` for exact/IVF (the f32 matrix), or codes + codec tables
-    /// + coarse centroids divided by the row count for compressed modes
-    /// (the f32 matrix stays resident for writers and audits but is off
-    /// the scan path). 0 for an empty index.
+    /// `dim × 4` for exact/IVF (the f32 matrix), or codes + codebooks +
+    /// coarse centroids divided by the row count for PQ (the f32 matrix
+    /// stays resident for writers and audits but is off the scan path).
+    /// 0 for an empty index.
     pub fn scan_bytes_per_row(&self) -> f64 {
         let rows = self.ids.len();
         if rows == 0 {
@@ -1210,59 +1076,32 @@ impl ShardIndex {
         }
     }
 
-    /// The quantized reconstruction of one row — what the compressed
-    /// scan path effectively scores (`centroid + decoded residual`). For
-    /// uncompressed modes this is the exact f32 row. The SQ8 error bound
-    /// (`|x − decode(x)| ≤ step_d / 2` per dimension) is a duo-check
-    /// property over this function.
+    /// The quantized reconstruction of one row — what the PQ scan path
+    /// effectively scores (`centroid + decoded residual`). For
+    /// uncompressed modes this is the exact f32 row.
     ///
     /// # Panics
     ///
     /// Panics when `row >= self.len()`.
     pub fn decode_row(&self, row: usize) -> Vec<f32> {
-        let Some(codec) = &self.codec else {
+        let (Some(pq), Some(ivf)) = (&self.codec, &self.ivf) else {
             return self.feature(row).to_vec();
         };
-        let ivf = self.ivf.as_ref().expect("compressed indexes always train a coarse quantizer");
         let c = self.coarse_assign[row] as usize;
-        let centroid = &ivf.centroids[c * self.dim..(c + 1) * self.dim];
-        match codec {
-            Codec::Pq(pq) => {
-                // The row's panel and lane within its inverted list.
-                let list = &ivf.lists[c];
-                let pos = list.binary_search(&(row as u32)).expect("a row is in its own list");
-                let (start, lane) = (pos - pos % CODE_LANES, pos % CODE_LANES);
-                let width = (list.len() - start).min(CODE_LANES);
-                let panel = &pq.codes[c][start * pq.m_sub..];
-                let mut out = centroid.to_vec();
-                for (s, out) in out.chunks_exact_mut(pq.dsub).enumerate() {
-                    let k = usize::from(panel[s * width + lane]);
-                    for (j, o) in out.iter_mut().enumerate() {
-                        *o += pq.codebooks[(s * pq.dsub + j) * pq.ksub + k];
-                    }
-                }
-                out
-            }
-            Codec::Sq8(sq) => {
-                let code = &sq.codes[row * self.dim..(row + 1) * self.dim];
-                centroid
-                    .iter()
-                    .zip(code)
-                    .zip(sq.mins.iter().zip(&sq.steps))
-                    .map(|((&cent, &c), (&min, &step))| cent + min + step * f32::from(c))
-                    .collect()
+        // The row's panel and lane within its inverted list.
+        let list = &ivf.lists[c];
+        let pos = list.binary_search(&(row as u32)).expect("a row is in its own list");
+        let (start, lane) = (pos - pos % CODE_LANES, pos % CODE_LANES);
+        let width = (list.len() - start).min(CODE_LANES);
+        let panel = &pq.codes[c][start * pq.m_sub..];
+        let mut out = ivf.centroids[c * self.dim..(c + 1) * self.dim].to_vec();
+        for (s, out) in out.chunks_exact_mut(pq.dsub).enumerate() {
+            let k = usize::from(panel[s * width + lane]);
+            for (j, o) in out.iter_mut().enumerate() {
+                *o += pq.codebooks[(s * pq.dsub + j) * pq.ksub + k];
             }
         }
-    }
-
-    /// The SQ8 quantizer's per-dimension `(mins, steps)` tables, or
-    /// `None` outside [`IndexMode::Sq8`]. Exposed so the quantization
-    /// error bound is checkable from outside the crate.
-    pub fn sq8_params(&self) -> Option<(&[f32], &[f32])> {
-        match &self.codec {
-            Some(Codec::Sq8(sq)) => Some((&sq.mins, &sq.steps)),
-            _ => None,
-        }
+        out
     }
 
     /// Dismantles the trained index into the flat arrays the `DUOINDX3`
@@ -1270,13 +1109,8 @@ impl ShardIndex {
     /// vectors where the mode has none.
     pub(crate) fn parts(&self) -> IndexParts<'_> {
         let (aux, codes) = match (&self.codec, &self.ivf) {
-            (Some(Codec::Pq(pq)), Some(ivf)) => {
+            (Some(pq), Some(ivf)) => {
                 (pq.codeword_major_codebooks(), pq.row_major_codes(&ivf.lists, self.ids.len()))
-            }
-            (Some(Codec::Sq8(sq)), _) => {
-                let mut aux = sq.mins.clone();
-                aux.extend_from_slice(&sq.steps);
-                (aux, sq.codes.clone())
             }
             _ => (Vec::new(), Vec::new()),
         };
@@ -1300,8 +1134,10 @@ impl ShardIndex {
     /// # Errors
     ///
     /// Returns [`RetrievalError::BadConfig`] for invalid modes, array
-    /// lengths that disagree with `mode`/`dim`/row count, or PQ codes
-    /// naming a codeword the codebooks do not hold.
+    /// lengths that disagree with `mode`/`dim`/row count (the codebooks
+    /// must hold the `min(2^nbits, rows)` codewords per subspace that
+    /// training produces), or PQ codes naming a codeword the codebooks do
+    /// not hold.
     pub(crate) fn from_parts(
         ids: Vec<VideoId>,
         feats: Vec<f32>,
@@ -1321,7 +1157,7 @@ impl ShardIndex {
             )));
         }
         let bad = |what: &str| RetrievalError::BadConfig(format!("DUOINDX3 {what} length mismatch"));
-        let (ivf, coarse_assign) = match mode.coarse_params() {
+        let trained = match mode.coarse_params() {
             Some((nlist, nprobe)) if rows > 0 => {
                 if dim == 0 || centroids.len() % dim != 0 || assign.len() != rows {
                     return Err(bad("coarse section"));
@@ -1339,58 +1175,32 @@ impl ShardIndex {
                     }
                     lists[c as usize].push(row as u32);
                 }
-                (Some(Ivf { nprobe, centroids, lists }), assign)
-            }
-            _ => (None, Vec::new()),
-        };
-        let codec = match (mode, &ivf) {
-            (IndexMode::Pq { m_sub, rerank, .. }, Some(ivf)) => {
-                if m_sub == 0 || dim % m_sub != 0 || codes.len() != rows * m_sub {
-                    return Err(bad("pq codes"));
-                }
-                let dsub = dim / m_sub;
-                if dsub == 0 || aux.len() % (m_sub * dsub) != 0 {
-                    return Err(bad("pq codebooks"));
-                }
-                let ksub = aux.len() / (m_sub * dsub);
-                if ksub == 0 || ksub > 256 {
-                    return Err(bad("pq codebooks"));
-                }
-                // The ADC kernel trusts every code to name a codeword.
-                if let Some(&c) = codes.iter().find(|&&c| usize::from(c) >= ksub) {
-                    return Err(RetrievalError::BadConfig(format!(
-                        "DUOINDX3 pq code {c} out of range for {ksub} codewords"
-                    )));
-                }
-                Some(Codec::Pq(PqCodec::new(m_sub, dsub, &aux, &codes, &ivf.lists, rerank)))
-            }
-            (IndexMode::Sq8 { rerank, .. }, Some(_)) => {
-                if aux.len() != 2 * dim || codes.len() != rows * dim {
-                    return Err(bad("sq8 tables"));
-                }
-                let steps = aux[dim..].to_vec();
-                let mut mins = aux;
-                mins.truncate(dim);
-                Some(Codec::Sq8(Sq8Codec { mins, steps, codes, rerank }))
+                let codec = match mode {
+                    IndexMode::Pq { m_sub, nbits, rerank, .. } => {
+                        if dim % m_sub != 0 || codes.len() != rows * m_sub {
+                            return Err(bad("pq codes"));
+                        }
+                        // Likewise each codebook: `min(2^nbits, rows)`
+                        // codewords of `dim / m_sub` floats per subspace.
+                        let ksub = (1usize << nbits).min(rows);
+                        if aux.len() != ksub * dim {
+                            return Err(bad("pq codebook"));
+                        }
+                        // The ADC kernel trusts every code to name a codeword.
+                        if let Some(&c) = codes.iter().find(|&&c| usize::from(c) >= ksub) {
+                            return Err(RetrievalError::BadConfig(format!(
+                                "DUOINDX3 pq code {c} out of range for {ksub} codewords"
+                            )));
+                        }
+                        Some(PqCodec::new(m_sub, dim / m_sub, &aux, &codes, &lists, rerank))
+                    }
+                    _ => None,
+                };
+                Some((Ivf { nprobe, centroids, lists }, assign, codec))
             }
             _ => None,
         };
-        Ok(ShardIndex {
-            ids,
-            feats,
-            dim,
-            mode,
-            ivf,
-            coarse_assign,
-            codec,
-            queries: AtomicU64::new(0),
-            probed_lists: AtomicU64::new(0),
-            scanned_rows: AtomicU64::new(0),
-            reranked_rows: AtomicU64::new(0),
-            audit_queries: AtomicU64::new(0),
-            audit_hits: AtomicU64::new(0),
-            audit_expected: AtomicU64::new(0),
-        })
+        Ok(Self::assemble(ids, feats, dim, mode, trained))
     }
 }
 
@@ -1405,11 +1215,11 @@ pub(crate) struct IndexParts<'a> {
     pub centroids: &'a [f32],
     /// Per-row coarse list assignment (empty in exact mode).
     pub assign: &'a [u32],
-    /// Codec tables: PQ codebooks (codeword-major), or SQ8 `mins ‖ steps`
-    /// (owned — neither is stored in this layout).
+    /// PQ codebooks, codeword-major (owned — the index stores them
+    /// element-major; empty for uncompressed modes).
     pub aux: Vec<f32>,
-    /// Row-major residual codes (empty for uncompressed modes; owned —
-    /// PQ keeps its codes in per-list panels).
+    /// Row-major PQ codes (owned — the index keeps them in per-list
+    /// panels; empty for uncompressed modes).
     pub codes: Vec<u8>,
 }
 
@@ -1590,21 +1400,6 @@ fn train_ivf(data: &LanePanels, nlist: usize, nprobe: usize, seed: u64) -> (Ivf,
     (Ivf { nprobe, centroids, lists }, assign)
 }
 
-/// The per-row coarse residuals `x − centroid[assign[row]]`, flattened
-/// row-major.
-fn coarse_residuals(feats: &[f32], dim: usize, centroids: &[f32], assign: &[u32]) -> Vec<f32> {
-    let mut residuals = vec![0.0f32; feats.len()];
-    for (row, &c) in assign.iter().enumerate() {
-        let x = &feats[row * dim..(row + 1) * dim];
-        let cent = &centroids[c as usize * dim..(c as usize + 1) * dim];
-        let out = &mut residuals[row * dim..(row + 1) * dim];
-        for ((o, &a), &b) in out.iter_mut().zip(x).zip(cent) {
-            *o = a - b;
-        }
-    }
-    residuals
-}
-
 /// Trains the product quantizer over the coarse residuals of the packed
 /// shard matrix `data` and encodes every row. Subspace `s` trains its
 /// own seeded k-means ([`pq_subspace_seed`]) on the rows' `dsub`-dim
@@ -1639,44 +1434,6 @@ fn train_pq(
         codebooks[s * ksub * dsub..(s + 1) * ksub * dsub].copy_from_slice(&book);
     }
     (codebooks, codes)
-}
-
-/// Trains the per-dimension affine scalar quantizer over coarse
-/// residuals and encodes every row: `steps[d] = (max_d − min_d) / 255`,
-/// `code = round((x − min_d) / step_d)` clamped to a byte. A constant
-/// dimension gets `step = 0` and decodes exactly to its minimum.
-fn train_sq8(
-    feats: &[f32],
-    dim: usize,
-    centroids: &[f32],
-    assign: &[u32],
-    rerank: usize,
-) -> Sq8Codec {
-    let rows = assign.len();
-    let residuals = coarse_residuals(feats, dim, centroids, assign);
-    let mut mins = vec![f32::INFINITY; dim];
-    let mut maxs = vec![f32::NEG_INFINITY; dim];
-    for row in 0..rows {
-        for d in 0..dim {
-            let x = residuals[row * dim + d];
-            mins[d] = mins[d].min(x);
-            maxs[d] = maxs[d].max(x);
-        }
-    }
-    let steps: Vec<f32> = mins.iter().zip(&maxs).map(|(&lo, &hi)| (hi - lo) / 255.0).collect();
-    let mut codes = vec![0u8; rows * dim];
-    for row in 0..rows {
-        for d in 0..dim {
-            let step = steps[d];
-            codes[row * dim + d] = if step > 0.0 {
-                let q = ((residuals[row * dim + d] - mins[d]) / step).round();
-                q.clamp(0.0, 255.0) as u8
-            } else {
-                0
-            };
-        }
-    }
-    Sq8Codec { mins, steps, codes, rerank }
 }
 
 #[cfg(test)]
@@ -1834,10 +1591,6 @@ mod tests {
             IndexMode::pq(16, 4, 8, 8, 32).to_json().to_string(),
             r#"{"mode":"pq","nlist":16,"nprobe":4,"m_sub":8,"nbits":8,"rerank":32}"#
         );
-        assert_eq!(
-            IndexMode::sq8(16, 4, 0).to_json().to_string(),
-            r#"{"mode":"sq8","nlist":16,"nprobe":4,"rerank":0}"#
-        );
     }
 
     /// A 2-D gallery whose points spread over both axes, so residuals
@@ -1867,16 +1620,6 @@ mod tests {
     }
 
     #[test]
-    fn sq8_full_probe_full_rerank_equals_exact() {
-        let gallery = grid_gallery(48);
-        let exact = ShardIndex::build(&gallery, IndexMode::Exact, 0).unwrap();
-        let sq8 = ShardIndex::build(&gallery, IndexMode::sq8(4, 4, 48), 9).unwrap();
-        for q in [[1.1, 0.0], [6.0, 3.0]] {
-            assert_eq!(sq8.search(&q, 5), exact.search(&q, 5));
-        }
-    }
-
-    #[test]
     fn pq_adc_without_rerank_finds_local_neighbours() {
         // Two tight, well-separated clusters: ADC distances are
         // approximate but the cluster structure must survive.
@@ -1896,28 +1639,11 @@ mod tests {
     #[test]
     fn rerank_counter_tracks_rescored_rows() {
         let gallery = grid_gallery(40);
-        let index = ShardIndex::build(&gallery, IndexMode::sq8(4, 2, 12), 3).unwrap();
+        let index = ShardIndex::build(&gallery, IndexMode::pq(4, 2, 2, 8, 12), 3).unwrap();
         index.search(&[1.0, 1.0], 5);
         let stats = index.stats();
         assert!(stats.reranked_rows > 0);
         assert!(stats.reranked_rows <= 12.max(5) as u64, "at most max(rerank, m) rescored");
-    }
-
-    #[test]
-    fn sq8_decode_respects_quantization_error_bound() {
-        let gallery = grid_gallery(50);
-        let index = ShardIndex::build(&gallery, IndexMode::sq8(4, 4, 0), 7).unwrap();
-        let (_, steps) = index.sq8_params().unwrap();
-        for row in 0..index.len() {
-            let decoded = index.decode_row(row);
-            for (d, (&got, &want)) in decoded.iter().zip(index.feature(row)).enumerate() {
-                let bound = steps[d] * 0.5001 + 1e-5;
-                assert!(
-                    (got - want).abs() <= bound,
-                    "row {row} dim {d}: |{got} - {want}| > {bound}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1932,12 +1658,10 @@ mod tests {
         // 4-bit codes: at this tiny scale an 8-bit codebook (256
         // codewords) would outweigh the codes themselves.
         let pq = ShardIndex::build(&gallery, IndexMode::pq(8, 2, 4, 4, 0), 1).unwrap();
-        let sq8 = ShardIndex::build(&gallery, IndexMode::sq8(8, 2, 0), 1).unwrap();
         assert_eq!(exact.code_bytes(), 0);
         assert_eq!(exact.scan_bytes_per_row(), 32.0, "8 dims x 4 bytes");
         assert!(pq.code_bytes() > 0);
         assert!(pq.scan_bytes_per_row() < exact.scan_bytes_per_row() / 4.0);
-        assert!(sq8.scan_bytes_per_row() < exact.scan_bytes_per_row() / 2.0);
         // The f32 matrix stays resident in every mode (writer-side truth).
         assert_eq!(pq.feature_bytes(), exact.feature_bytes());
     }
@@ -1953,8 +1677,6 @@ mod tests {
         // Zero-dimensional rows leave no subspace to quantize.
         let flat = entries(&[(0, vec![]), (1, vec![])]);
         assert!(ShardIndex::build(&flat, IndexMode::pq(2, 1, 1, 8, 0), 0).is_err());
-        assert!(ShardIndex::build(&gallery, IndexMode::sq8(0, 1, 0), 0).is_err());
-        assert!(ShardIndex::build(&gallery, IndexMode::sq8(2, 3, 0), 0).is_err());
     }
 
     #[test]
@@ -1988,12 +1710,7 @@ mod tests {
 
     #[test]
     fn from_parts_round_trips_a_trained_index() {
-        for mode in [
-            IndexMode::Exact,
-            IndexMode::ivf(4, 2),
-            IndexMode::pq(4, 2, 2, 8, 6),
-            IndexMode::sq8(4, 2, 0),
-        ] {
+        for mode in [IndexMode::Exact, IndexMode::ivf(4, 2), IndexMode::pq(4, 2, 2, 8, 6)] {
             let gallery = grid_gallery(36);
             let built = ShardIndex::build(&gallery, mode, 17).unwrap();
             let parts = built.parts();
@@ -2019,12 +1736,31 @@ mod tests {
     /// kernels must match bit for bit.
     mod oracle {
         use super::super::{
-            coarse_residuals, pq_subspace_seed, Codec, IndexStats, ShardIndex, AUDIT_PERIOD,
-            KMEANS_ROUNDS,
+            pq_subspace_seed, IndexMode, IndexStats, ShardIndex, AUDIT_PERIOD, KMEANS_ROUNDS,
         };
         use crate::ScoredId;
         use duo_tensor::Rng64;
         use duo_video::VideoId;
+
+        /// The per-row coarse residuals `x − centroid[assign[row]]`,
+        /// flattened row-major.
+        fn coarse_residuals(
+            feats: &[f32],
+            dim: usize,
+            centroids: &[f32],
+            assign: &[u32],
+        ) -> Vec<f32> {
+            let mut residuals = vec![0.0f32; feats.len()];
+            for (row, &c) in assign.iter().enumerate() {
+                let x = &feats[row * dim..(row + 1) * dim];
+                let cent = &centroids[c as usize * dim..(c as usize + 1) * dim];
+                let out = &mut residuals[row * dim..(row + 1) * dim];
+                for ((o, &a), &b) in out.iter_mut().zip(x).zip(cent) {
+                    *o = a - b;
+                }
+            }
+            residuals
+        }
 
         /// One row's squared Euclidean distance, accumulated in strictly
         /// sequential element order — bit-identical to `Tensor::sq_distance` on
@@ -2206,52 +1942,30 @@ mod tests {
                         .map(|&r| (sq_distance_row(row(r), query), id(r)))
                         .collect(),
                 ),
-                Some(codec) => {
+                Some(pq) => {
                     for &c in &probed {
                         let rq = residual(c);
-                        match codec {
-                            Codec::Pq(pq) => {
-                                let (m_sub, ksub, dsub) = (pq.m_sub, pq.ksub, pq.dsub);
-                                let lut: Vec<f32> = (0..m_sub * ksub)
-                                    .map(|i| {
-                                        let word = &parts.aux[i * dsub..(i + 1) * dsub];
-                                        let s = i / ksub;
-                                        sq_distance_row(word, &rq[s * dsub..(s + 1) * dsub])
-                                    })
-                                    .collect();
-                                for &r in &ivf.lists[c] {
-                                    let code = &parts.codes[r as usize * m_sub..][..m_sub];
-                                    let mut adc = 0.0f32;
-                                    for (s, &k) in code.iter().enumerate() {
-                                        adc += lut[s * ksub + usize::from(k)];
-                                    }
-                                    candidates.push((adc, r));
-                                }
+                        let (m_sub, ksub, dsub) = (pq.m_sub, pq.ksub, pq.dsub);
+                        let lut: Vec<f32> = (0..m_sub * ksub)
+                            .map(|i| {
+                                let word = &parts.aux[i * dsub..(i + 1) * dsub];
+                                let s = i / ksub;
+                                sq_distance_row(word, &rq[s * dsub..(s + 1) * dsub])
+                            })
+                            .collect();
+                        for &r in &ivf.lists[c] {
+                            let code = &parts.codes[r as usize * m_sub..][..m_sub];
+                            let mut adc = 0.0f32;
+                            for (s, &k) in code.iter().enumerate() {
+                                adc += lut[s * ksub + usize::from(k)];
                             }
-                            Codec::Sq8(sq) => {
-                                let tq: Vec<f32> =
-                                    rq.iter().zip(&sq.mins).map(|(t, min)| t - min).collect();
-                                let tail = dim - dim % 8;
-                                for &r in &ivf.lists[c] {
-                                    let code = &parts.codes[r as usize * dim..][..dim];
-                                    let term = |j: usize| {
-                                        let diff = tq[j] - sq.steps[j] * f32::from(code[j]);
-                                        diff * diff
-                                    };
-                                    let mut lanes = [0.0f32; 8];
-                                    for j in 0..tail {
-                                        lanes[j % 8] += term(j);
-                                    }
-                                    let mut acc = lanes.iter().sum::<f32>();
-                                    for j in tail..dim {
-                                        acc += term(j);
-                                    }
-                                    candidates.push((acc, r));
-                                }
-                            }
+                            candidates.push((adc, r));
                         }
                     }
-                    let rerank = index.mode.rerank_depth();
+                    let rerank = match index.mode {
+                        IndexMode::Pq { rerank, .. } => rerank,
+                        _ => 0,
+                    };
                     if rerank == 0 {
                         top_m(candidates.iter().map(|&(d, r)| (d, id(r))).collect())
                     } else {
@@ -2466,7 +2180,6 @@ mod tests {
                 IndexMode::Exact,
                 IndexMode::ivf(nlist, nprobe),
                 IndexMode::pq(nlist, nprobe, m_sub, nbits, rerank),
-                IndexMode::sq8(nlist, nprobe, rerank),
             ] {
                 let index =
                     ShardIndex::build_from_rows(ids.clone(), feats.clone(), dim, mode, seed)
@@ -2480,7 +2193,7 @@ mod tests {
                         );
                     }
                 }
-                if let Some(Codec::Pq(pq)) = &index.codec {
+                if let Some(pq) = &index.codec {
                     ksub_capped += usize::from(pq.ksub < 1 << nbits);
                 }
                 for _ in 0..AUDIT_PERIOD + 2 {

@@ -2,48 +2,36 @@
 //!
 //! A production retrieval service re-indexes its gallery only when the
 //! embedding model changes; across restarts the feature index is loaded
-//! from disk. The format is the same minimal self-describing binary style
-//! used for model checkpoints: magic, index mode, entry count, then
-//! `(class, instance, dim, f32-LE features…)` per entry.
+//! from disk. The one on-disk format, `DUOINDX3`, is a whole-system
+//! image: a sectioned, 64-byte-aligned layout that persists the trained
+//! structures — centroids, coarse assignment, PQ codebooks, packed
+//! residual codes — per shard, exactly as served. A system loads from it
+//! in a single `read` with no retraining and no re-sharding, so the
+//! restored service replays a mutate+query trace bit-identically, epoch
+//! counter included. The byte-level format table lives in DESIGN.md §6h.
+//! Storing trained structures does not create a second source of truth:
+//! they are the deterministic function of `(features, seed)` that
+//! retraining would recompute ([`crate::shard_seed`] per shard,
+//! [`crate::pq_subspace_seed`] per codebook), which the
+//! save→load→save byte-identity property pins down.
 //!
-//! Three on-disk versions exist:
-//!
-//! * `DUOINDX1` (legacy, features only) still loads and maps to
-//!   [`IndexMode::Exact`].
-//! * `DUOINDX2` (portable) stores the [`IndexMode`] after the magic — a
-//!   mode byte, then the mode's parameters as u64 — followed by the
-//!   entries in global id order. Only the *mode* is persisted, never the
-//!   trained IVF/PQ structure: k-means is seeded and deterministic
-//!   ([`crate::shard_seed`] per shard, [`crate::pq_subspace_seed`] per
-//!   codebook), so retraining at load reproduces the index from the
-//!   features alone and the snapshot stays layout-independent.
-//! * `DUOINDX3` (current, whole-system image) is a sectioned,
-//!   64-byte-aligned layout that *does* persist the trained structures —
-//!   centroids, coarse assignment, codebooks/quantizer tables, packed
-//!   residual codes — per shard, exactly as served. A system loads from
-//!   it in a single `read` with no retraining and no re-sharding, so the
-//!   restored service replays a mutate+query trace bit-identically,
-//!   epoch counter included. The byte-level format table lives in
-//!   DESIGN.md §6h. Storing trained structures does not create a second
-//!   source of truth: they are the deterministic function of
-//!   `(features, seed)` that retraining would recompute, which the
-//!   save→load→save byte-identity property pins down.
+//! [`GalleryIndex`] is the in-memory side: an `(id, feature)` snapshot
+//! plus a mode, from which [`RetrievalSystem::from_index`] builds a
+//! system with any shard count.
 
 use crate::{shard_seed, DataNode, IndexMode, RetrievalConfig, RetrievalError, Result, RetrievalSystem};
 use duo_models::Backbone;
 use duo_tensor::Tensor;
 use duo_video::VideoId;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const MAGIC_V3: &[u8; 8] = b"DUOINDX3";
-const MAGIC_V2: &[u8; 8] = b"DUOINDX2";
-const MAGIC_V1: &[u8; 8] = b"DUOINDX1";
 
 const MODE_EXACT: u8 = 0;
 const MODE_IVF: u8 = 1;
 const MODE_PQ: u8 = 2;
-const MODE_SQ8: u8 = 3;
 
 /// `DUOINDX3` sections start on 64-byte boundaries (cache-line aligned,
 /// and f32/u32 views of the mapped buffer stay aligned with headroom).
@@ -53,65 +41,32 @@ const V3_ALIGN: usize = 64;
 /// features, centroids, coarse assignment, codec tables, codes.
 const V3_SECTIONS: usize = 6;
 
-/// Entries, and floats per entry, the `DUOINDX1/2` reader reserves
-/// before the stream has delivered them. The counts come from an
-/// untrusted header; past this bound the vectors grow as data arrives,
-/// so a short file cannot make the reader allocate for a body it lacks.
-const READ_RESERVE: usize = 4096;
-
-/// Serializes an [`IndexMode`] as the V2/V3 shared tag + u64 parameter
-/// run: `exact` has no parameters, `ivf` carries `nlist, nprobe`, `pq`
-/// carries `nlist, nprobe, m_sub, nbits, rerank`, `sq8` carries
-/// `nlist, nprobe, rerank`.
-fn mode_params(mode: IndexMode) -> (u8, Vec<u64>) {
+/// Serializes an [`IndexMode`] as the header's tag and five u64
+/// parameter words: `exact` uses none, `ivf` the first two
+/// (`nlist, nprobe`), `pq` all five (`nlist, nprobe, m_sub, nbits,
+/// rerank`). Unused words are zero.
+fn mode_params(mode: IndexMode) -> (u8, [u64; 5]) {
     match mode {
-        IndexMode::Exact => (MODE_EXACT, Vec::new()),
-        IndexMode::Ivf { nlist, nprobe } => (MODE_IVF, vec![nlist as u64, nprobe as u64]),
+        IndexMode::Exact => (MODE_EXACT, [0; 5]),
+        IndexMode::Ivf { nlist, nprobe } => (MODE_IVF, [nlist as u64, nprobe as u64, 0, 0, 0]),
         IndexMode::Pq { nlist, nprobe, m_sub, nbits, rerank } => (
             MODE_PQ,
-            vec![nlist as u64, nprobe as u64, m_sub as u64, u64::from(nbits), rerank as u64],
+            [nlist as u64, nprobe as u64, m_sub as u64, u64::from(nbits), rerank as u64],
         ),
-        IndexMode::Sq8 { nlist, nprobe, rerank } => {
-            (MODE_SQ8, vec![nlist as u64, nprobe as u64, rerank as u64])
-        }
     }
 }
 
 /// Inverse of [`mode_params`]; validates the reconstructed mode.
-fn mode_from_params(tag: u8, params: &[u64]) -> Result<IndexMode> {
-    let need = |n: usize| {
-        if params.len() < n {
-            Err(RetrievalError::BadConfig(format!(
-                "index mode tag {tag} needs {n} parameters, got {}",
-                params.len()
-            )))
-        } else {
-            Ok(())
-        }
-    };
+fn mode_from_params(tag: u8, params: [u64; 5]) -> Result<IndexMode> {
+    let [nlist, nprobe, m_sub, _, rerank] = params.map(|p| p as usize);
     let mode = match tag {
         MODE_EXACT => IndexMode::Exact,
-        MODE_IVF => {
-            need(2)?;
-            IndexMode::Ivf { nlist: params[0] as usize, nprobe: params[1] as usize }
-        }
+        MODE_IVF => IndexMode::Ivf { nlist, nprobe },
         MODE_PQ => {
-            need(5)?;
-            IndexMode::Pq {
-                nlist: params[0] as usize,
-                nprobe: params[1] as usize,
-                m_sub: params[2] as usize,
-                nbits: params[3] as u32,
-                rerank: params[4] as usize,
-            }
-        }
-        MODE_SQ8 => {
-            need(3)?;
-            IndexMode::Sq8 {
-                nlist: params[0] as usize,
-                nprobe: params[1] as usize,
-                rerank: params[2] as usize,
-            }
+            let nbits = u32::try_from(params[3]).map_err(|_| {
+                RetrievalError::BadConfig(format!("implausible PQ nbits {}", params[3]))
+            })?;
+            IndexMode::Pq { nlist, nprobe, m_sub, nbits, rerank }
         }
         other => {
             return Err(RetrievalError::BadConfig(format!("unknown index mode tag {other}")))
@@ -121,8 +76,8 @@ fn mode_from_params(tag: u8, params: &[u64]) -> Result<IndexMode> {
     Ok(mode)
 }
 
-/// A serializable snapshot of an indexed gallery: the `(id, feature)`
-/// entries plus the [`IndexMode`] the system served them in.
+/// A snapshot of an indexed gallery: the `(id, feature)` entries plus
+/// the [`IndexMode`] the system served them in.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GalleryIndex {
     entries: Vec<(VideoId, Tensor)>,
@@ -147,8 +102,8 @@ impl GalleryIndex {
     /// consistent cross-shard cut — so a snapshot taken while a
     /// mutation batch or rebalance is publishing always equals exactly
     /// one published epoch, never a half-applied batch or a row caught
-    /// mid-move. (To persist without materializing a tensor per row,
-    /// use [`GalleryIndex::save_system`].)
+    /// mid-move. (To persist a system without materializing a tensor
+    /// per row, use [`GalleryIndex::save_system_v3`].)
     pub fn from_system(system: &RetrievalSystem) -> Self {
         let (_epoch, snaps) = system.snapshot_with_epoch();
         let mut entries = Vec::with_capacity(system.gallery_len());
@@ -158,58 +113,6 @@ impl GalleryIndex {
         // Deterministic order regardless of shard layout.
         entries.sort_by_key(|(id, _)| (id.class, id.instance));
         GalleryIndex { entries, mode: system.config().index }
-    }
-
-    /// Streams a system's gallery straight to `w` in the `DUOINDX2`
-    /// format, byte-identical to
-    /// `GalleryIndex::from_system(system).write(w)` but writing feature
-    /// rows from the shard snapshots' borrowed storage — no per-row
-    /// tensor materialization, no gallery copy. Returns the epoch the
-    /// snapshot was captured from (under the epoch gate, so the stream
-    /// is always one published epoch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetrievalError::BadConfig`] wrapping I/O failures.
-    pub fn write_system<W: Write>(system: &RetrievalSystem, mut w: W) -> Result<u64> {
-        let io = |e: std::io::Error| RetrievalError::BadConfig(format!("index write: {e}"));
-        let (epoch, snaps) = system.snapshot_with_epoch();
-        // Global id order over borrowed rows: sort an (id, shard, row)
-        // directory instead of copying features.
-        let mut directory: Vec<(VideoId, usize, usize)> = Vec::new();
-        for (s, snap) in snaps.iter().enumerate() {
-            directory.extend(snap.ids().iter().enumerate().map(|(r, &id)| (id, s, r)));
-        }
-        directory.sort_by_key(|(id, _, _)| (id.class, id.instance));
-        w.write_all(MAGIC_V2).map_err(io)?;
-        let (tag, params) = mode_params(system.config().index);
-        w.write_all(&[tag]).map_err(io)?;
-        for p in params {
-            w.write_all(&p.to_le_bytes()).map_err(io)?;
-        }
-        w.write_all(&(directory.len() as u64).to_le_bytes()).map_err(io)?;
-        for (id, shard, row) in directory {
-            let feat = snaps[shard].feature(row);
-            w.write_all(&id.class.to_le_bytes()).map_err(io)?;
-            w.write_all(&id.instance.to_le_bytes()).map_err(io)?;
-            w.write_all(&(feat.len() as u64).to_le_bytes()).map_err(io)?;
-            for &x in feat {
-                w.write_all(&x.to_le_bytes()).map_err(io)?;
-            }
-        }
-        Ok(epoch)
-    }
-
-    /// Streams a system's gallery to a file (see
-    /// [`GalleryIndex::write_system`]); returns the captured epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetrievalError::BadConfig`] wrapping I/O failures.
-    pub fn save_system<P: AsRef<Path>>(system: &RetrievalSystem, path: P) -> Result<u64> {
-        let file = std::fs::File::create(path)
-            .map_err(|e| RetrievalError::BadConfig(format!("index create: {e}")))?;
-        Self::write_system(system, std::io::BufWriter::new(file))
     }
 
     /// Number of indexed videos.
@@ -230,121 +133,6 @@ impl GalleryIndex {
     /// The index mode captured in this snapshot.
     pub fn mode(&self) -> IndexMode {
         self.mode
-    }
-
-    /// Writes the index in the `DUOINDX2` format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetrievalError::BadConfig`] wrapping I/O failures.
-    pub fn write<W: Write>(&self, mut w: W) -> Result<()> {
-        let io = |e: std::io::Error| RetrievalError::BadConfig(format!("index write: {e}"));
-        w.write_all(MAGIC_V2).map_err(io)?;
-        let (tag, params) = mode_params(self.mode);
-        w.write_all(&[tag]).map_err(io)?;
-        for p in params {
-            w.write_all(&p.to_le_bytes()).map_err(io)?;
-        }
-        w.write_all(&(self.entries.len() as u64).to_le_bytes()).map_err(io)?;
-        for (id, feat) in &self.entries {
-            w.write_all(&id.class.to_le_bytes()).map_err(io)?;
-            w.write_all(&id.instance.to_le_bytes()).map_err(io)?;
-            w.write_all(&(feat.len() as u64).to_le_bytes()).map_err(io)?;
-            for &x in feat.as_slice() {
-                w.write_all(&x.to_le_bytes()).map_err(io)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads an index written by [`GalleryIndex::write`]. Legacy
-    /// `DUOINDX1` snapshots (no mode header) load as
-    /// [`IndexMode::Exact`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetrievalError::BadConfig`] for I/O failures, bad magic,
-    /// or malformed entries.
-    pub fn read<R: Read>(mut r: R) -> Result<Self> {
-        let io = |e: std::io::Error| RetrievalError::BadConfig(format!("index read: {e}"));
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(io)?;
-        let mut u64buf = [0u8; 8];
-        let mode = match &magic {
-            m if m == MAGIC_V1 => IndexMode::Exact,
-            m if m == MAGIC_V2 => {
-                let mut tag = [0u8; 1];
-                r.read_exact(&mut tag).map_err(io)?;
-                let nparams = match tag[0] {
-                    MODE_EXACT => 0,
-                    MODE_IVF => 2,
-                    MODE_PQ => 5,
-                    MODE_SQ8 => 3,
-                    other => {
-                        return Err(RetrievalError::BadConfig(format!(
-                            "unknown index mode tag {other}"
-                        )))
-                    }
-                };
-                let mut params = Vec::with_capacity(nparams);
-                for _ in 0..nparams {
-                    r.read_exact(&mut u64buf).map_err(io)?;
-                    params.push(u64::from_le_bytes(u64buf));
-                }
-                mode_from_params(tag[0], &params)?
-            }
-            _ => return Err(RetrievalError::BadConfig("not a DUOINDX1/DUOINDX2 index".into())),
-        };
-        let mut u32buf = [0u8; 4];
-        r.read_exact(&mut u64buf).map_err(io)?;
-        let count = u64::from_le_bytes(u64buf) as usize;
-        if count > 100_000_000 {
-            return Err(RetrievalError::BadConfig(format!("implausible entry count {count}")));
-        }
-        let mut entries = Vec::with_capacity(count.min(READ_RESERVE));
-        for _ in 0..count {
-            r.read_exact(&mut u32buf).map_err(io)?;
-            let class = u32::from_le_bytes(u32buf);
-            r.read_exact(&mut u32buf).map_err(io)?;
-            let instance = u32::from_le_bytes(u32buf);
-            r.read_exact(&mut u64buf).map_err(io)?;
-            let dim = u64::from_le_bytes(u64buf) as usize;
-            if dim > 1_000_000 {
-                return Err(RetrievalError::BadConfig(format!("implausible feature dim {dim}")));
-            }
-            let mut data = Vec::with_capacity(dim.min(READ_RESERVE));
-            let mut f32buf = [0u8; 4];
-            for _ in 0..dim {
-                r.read_exact(&mut f32buf).map_err(io)?;
-                data.push(f32::from_le_bytes(f32buf));
-            }
-            let feat = Tensor::from_vec(data, &[dim])
-                .map_err(|e| RetrievalError::BadConfig(format!("index feature: {e}")))?;
-            entries.push((VideoId { class, instance }, feat));
-        }
-        Ok(GalleryIndex { entries, mode })
-    }
-
-    /// Saves the index to a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetrievalError::BadConfig`] wrapping I/O failures.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        let file = std::fs::File::create(path)
-            .map_err(|e| RetrievalError::BadConfig(format!("index create: {e}")))?;
-        self.write(std::io::BufWriter::new(file))
-    }
-
-    /// Loads an index from a file.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetrievalError::BadConfig`] wrapping I/O failures.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let file = std::fs::File::open(path)
-            .map_err(|e| RetrievalError::BadConfig(format!("index open: {e}")))?;
-        Self::read(std::io::BufReader::new(file))
     }
 
     /// Serializes a system as one `DUOINDX3` image: header, shard
@@ -375,8 +163,8 @@ impl GalleryIndex {
         buf.extend_from_slice(MAGIC_V3);
         buf.extend_from_slice(&1u32.to_le_bytes());
         buf.extend_from_slice(&u32::from(tag).to_le_bytes());
-        for i in 0..5 {
-            buf.extend_from_slice(&params.get(i).copied().unwrap_or(0).to_le_bytes());
+        for p in params {
+            buf.extend_from_slice(&p.to_le_bytes());
         }
         buf.extend_from_slice(&(snaps.len() as u64).to_le_bytes());
         debug_assert_eq!(buf.len(), 64, "V3 header is exactly 64 bytes");
@@ -435,6 +223,10 @@ impl GalleryIndex {
     /// Writes a `DUOINDX3` whole-system image to a file (see
     /// [`GalleryIndex::to_v3_bytes`]); returns the captured epoch.
     ///
+    /// The image goes to a temporary sibling of `path`, is synced, and
+    /// is renamed over `path`, and then the directory is synced. A crash
+    /// mid-save leaves the previous image at `path` intact.
+    ///
     /// ```no_run
     /// use duo_retrieval::GalleryIndex;
     /// # fn demo(system: &duo_retrieval::RetrievalSystem) -> Result<(), duo_retrieval::RetrievalError> {
@@ -447,9 +239,27 @@ impl GalleryIndex {
     ///
     /// Returns [`RetrievalError::BadConfig`] wrapping I/O failures.
     pub fn save_system_v3<P: AsRef<Path>>(system: &RetrievalSystem, path: P) -> Result<u64> {
+        // Distinct per process and per save, so concurrent saves never
+        // share a temporary file.
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let io = |e: std::io::Error| RetrievalError::BadConfig(format!("index write: {e}"));
         let (epoch, bytes) = Self::to_v3_bytes(system)?;
-        std::fs::write(path, bytes)
-            .map_err(|e| RetrievalError::BadConfig(format!("index write: {e}")))?;
+        let path = path.as_ref();
+        let save = SAVES.fetch_add(1, Ordering::Relaxed);
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".tmp{}-{save}", std::process::id()));
+        let tmp = path.with_file_name(name);
+        let written = std::fs::File::create(&tmp).and_then(|mut file| {
+            file.write_all(&bytes)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)
+        });
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(io(e));
+        }
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        std::fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io)?;
         Ok(epoch)
     }
 }
@@ -508,13 +318,14 @@ fn v3_f32s(section: &[u8]) -> Vec<f32> {
 }
 
 impl RetrievalSystem {
-    /// Rebuilds a retrieval service from a persisted index and a backbone
-    /// (restart-without-reindexing: the backbone is only used for *query*
-    /// embeddings; gallery features come from the snapshot).
+    /// Rebuilds a retrieval service from a gallery snapshot and a
+    /// backbone, sharded `config.nodes` ways (no re-embedding: the
+    /// backbone is only used for *query* embeddings; gallery features
+    /// come from the snapshot).
     ///
     /// The serving index mode is taken from `config.index` — the caller
-    /// decides, typically forwarding [`GalleryIndex::mode`]. IVF shards
-    /// are retrained at load from the snapshot's features with the same
+    /// decides, typically forwarding [`GalleryIndex::mode`]. IVF and PQ
+    /// shards train from the snapshot's features with the same
     /// per-shard seeds a fresh build uses. Exact-mode rankings are
     /// bit-identical to the snapshotted system regardless of node count;
     /// IVF rankings can differ from the original when the snapshot's
@@ -588,7 +399,7 @@ impl RetrievalSystem {
         }
         let tag = u8::try_from(tag)
             .map_err(|_| RetrievalError::BadConfig(format!("implausible mode tag {tag}")))?;
-        let mode = mode_from_params(tag, &params)?;
+        let mode = mode_from_params(tag, params)?;
         let shard_count = cur.u64()? as usize;
         if shard_count == 0 || shard_count > 65_536 {
             return Err(RetrievalError::BadConfig(format!(
@@ -720,48 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip_preserves_index() {
-        let (sys, _) = system();
-        let index = GalleryIndex::from_system(&sys);
-        assert_eq!(index.len(), sys.gallery_len());
-        let mut buf = Vec::new();
-        index.write(&mut buf).unwrap();
-        let back = GalleryIndex::read(buf.as_slice()).unwrap();
-        assert_eq!(index, back);
-    }
-
-    #[test]
-    fn round_trip_preserves_ivf_mode() {
-        let entries = vec![(
-            VideoId { class: 0, instance: 0 },
-            Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap(),
-        )];
-        let index = GalleryIndex::with_mode(entries, IndexMode::ivf(16, 4));
-        let mut buf = Vec::new();
-        index.write(&mut buf).unwrap();
-        let back = GalleryIndex::read(buf.as_slice()).unwrap();
-        assert_eq!(back.mode(), IndexMode::ivf(16, 4));
-        assert_eq!(index, back);
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_loads_as_exact() {
-        // Hand-assemble a DUOINDX1 stream: magic, count, one 2-d entry.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"DUOINDX1");
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.extend_from_slice(&3u32.to_le_bytes());
-        buf.extend_from_slice(&7u32.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&0.5f32.to_le_bytes());
-        buf.extend_from_slice(&1.5f32.to_le_bytes());
-        let index = GalleryIndex::read(buf.as_slice()).unwrap();
-        assert_eq!(index.mode(), IndexMode::Exact);
-        assert_eq!(index.len(), 1);
-        assert_eq!(index.entries()[0].0, VideoId { class: 3, instance: 7 });
-    }
-
-    #[test]
     fn restored_service_ranks_identically() {
         let (mut sys, ds) = system();
         let index = GalleryIndex::from_system(&sys);
@@ -816,30 +585,32 @@ mod tests {
     }
 
     #[test]
-    fn write_system_matches_materialized_snapshot_bytes() {
-        let (sys, _) = system();
-        // Publish one epoch first so the stream covers mutated state too.
-        sys.insert(
-            VideoId { class: 200, instance: 0 },
-            sys.nodes()[0].snapshot().entries().remove(0).1,
-        )
-        .unwrap();
-        let mut streamed = Vec::new();
-        let epoch = GalleryIndex::write_system(&sys, &mut streamed).unwrap();
-        assert_eq!(epoch, sys.current_epoch());
-        let mut materialized = Vec::new();
-        GalleryIndex::from_system(&sys).write(&mut materialized).unwrap();
-        assert_eq!(streamed, materialized, "streaming writer must be byte-identical");
-    }
-
-    #[test]
     fn snapshot_under_concurrent_mutation_is_one_published_epoch() {
-        let (sys, _) = system();
+        let (mut sys, _) = system();
+        let backbone = restored_backbone(&mut sys, 284);
         let base = sys.gallery_len();
         let dim = sys.nodes()[0].snapshot().dim();
         let marker = |k: u32| VideoId { class: 200 + k, instance: 0 };
         let feature = |k: u32| {
             Tensor::from_vec(vec![k as f32 + 1.0; dim], &[dim]).unwrap()
+        };
+        // Persists the system and reloads the image: the captured epoch,
+        // the reloaded system's epoch and gallery size, and its markers.
+        let capture = || {
+            let (epoch, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
+            let back = RetrievalSystem::from_v3_bytes(
+                backbone.clone(),
+                &bytes,
+                RetrievalConfig { m: 5, ..RetrievalConfig::default() },
+            )
+            .unwrap();
+            let markers: Vec<u32> = GalleryIndex::from_system(&back)
+                .entries()
+                .iter()
+                .filter(|(id, _)| id.class >= 200)
+                .map(|(id, _)| id.class - 200)
+                .collect();
+            (epoch, back.current_epoch(), back.gallery_len(), markers)
         };
 
         // Writer: five epoch transactions, each inserting TWO markers in
@@ -855,82 +626,63 @@ mod tests {
                 }
             });
             // Reader: repeatedly persist mid-mutation and reload. Every
-            // capture must equal exactly the published epoch it reports —
-            // all of batch `e` and nothing of batch `e + 1`.
+            // image must equal exactly the published epoch it reports —
+            // all of batch `e` and nothing of batch `e + 1` — and the
+            // reloaded system must resume at that epoch.
             for _ in 0..40 {
-                let mut buf = Vec::new();
-                let epoch = GalleryIndex::write_system(&sys, &mut buf).unwrap();
-                let back = GalleryIndex::read(buf.as_slice()).unwrap();
-                let markers: Vec<u32> = back
-                    .entries()
-                    .iter()
-                    .filter(|(id, _)| id.class >= 200)
-                    .map(|(id, _)| id.class - 200)
-                    .collect();
+                let (epoch, loaded_epoch, len, markers) = capture();
                 assert_eq!(
                     markers.len() as u64,
                     2 * epoch,
-                    "epoch {epoch} snapshot shows a half-applied batch: {markers:?}"
+                    "epoch {epoch} image shows a half-applied batch: {markers:?}"
                 );
                 assert_eq!(markers, (0..2 * epoch as u32).collect::<Vec<_>>());
-                assert_eq!(back.len(), base + markers.len());
+                assert_eq!(loaded_epoch, epoch, "the image restores its epoch");
+                assert_eq!(len, base + markers.len());
             }
         });
 
-        // After the writer drains, a final capture holds every batch.
-        let mut buf = Vec::new();
-        let epoch = GalleryIndex::write_system(&sys, &mut buf).unwrap();
-        assert_eq!(epoch, u64::from(EPOCHS));
-        assert_eq!(GalleryIndex::read(buf.as_slice()).unwrap().len(), base + 10);
+        // After the writer drains, a final image holds every batch.
+        let (epoch, loaded_epoch, len, _) = capture();
+        assert_eq!((epoch, loaded_epoch), (u64::from(EPOCHS), u64::from(EPOCHS)));
+        assert_eq!(len, base + 10);
+    }
+
+    /// Loads an image with a fresh tiny backbone, for tests that only
+    /// check whether it loads.
+    fn load(image: &[u8]) -> Result<RetrievalSystem> {
+        let mut rng = Rng64::new(7);
+        let backbone = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+        RetrievalSystem::from_v3_bytes(backbone, image, RetrievalConfig::default())
     }
 
     #[test]
     fn rejects_bad_magic() {
-        assert!(GalleryIndex::read(&b"BADMAGIC"[..]).is_err());
-        assert!(RetrievalSystem::from_v3_bytes(
-            {
-                let mut rng = Rng64::new(7);
-                Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap()
-            },
-            b"BADMAGIC",
-            RetrievalConfig::default(),
-        )
-        .is_err());
+        assert!(load(b"BADMAGIC").is_err());
     }
 
     #[test]
-    fn oversized_header_counts_with_an_empty_body_are_errors() {
-        // DUOINDX2, exact mode, then the entry count.
-        let header = |count: u64| {
-            let mut bytes = MAGIC_V2.to_vec();
-            bytes.push(MODE_EXACT);
-            bytes.extend_from_slice(&count.to_le_bytes());
-            bytes
-        };
-        assert!(GalleryIndex::read(header(100_000_000).as_slice()).is_err());
-
-        // One entry whose header claims a million floats, none present.
-        let mut one = header(1);
-        one.extend_from_slice(&7u32.to_le_bytes());
-        one.extend_from_slice(&0u32.to_le_bytes());
-        one.extend_from_slice(&1_000_000u64.to_le_bytes());
-        assert!(GalleryIndex::read(one.as_slice()).is_err());
-    }
-
-    #[test]
-    fn v2_round_trip_preserves_compressed_modes() {
-        let entries = vec![(
-            VideoId { class: 0, instance: 0 },
-            Tensor::from_vec(vec![1.0, 2.0], &[2]).unwrap(),
-        )];
-        for mode in [IndexMode::pq(16, 4, 2, 8, 32), IndexMode::sq8(8, 2, 0)] {
-            let index = GalleryIndex::with_mode(entries.clone(), mode);
-            let mut buf = Vec::new();
-            index.write(&mut buf).unwrap();
-            let back = GalleryIndex::read(buf.as_slice()).unwrap();
-            assert_eq!(back.mode(), mode);
-            assert_eq!(index, back);
+    fn retired_mode_tag_and_format_are_errors() {
+        let (sys, _) = compressed_system(IndexMode::pq(3, 2, 2, 4, 8));
+        let (_, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
+        // The mode tag is header bytes 12..16; tag 3 was the retired SQ8
+        // mode.
+        let mut retagged = bytes.clone();
+        retagged[12..16].copy_from_slice(&3u32.to_le_bytes());
+        match load(&retagged) {
+            Err(RetrievalError::BadConfig(msg)) => assert_eq!(msg, "unknown index mode tag 3"),
+            other => panic!("mode tag 3 must be rejected, got {:?}", other.map(|_| ())),
         }
+        // A retired DUOINDX2 stream: magic, exact-mode tag, one 2-d entry.
+        let mut v2 = b"DUOINDX2".to_vec();
+        v2.push(0);
+        v2.extend_from_slice(&1u64.to_le_bytes());
+        v2.extend_from_slice(&3u32.to_le_bytes());
+        v2.extend_from_slice(&7u32.to_le_bytes());
+        v2.extend_from_slice(&2u64.to_le_bytes());
+        v2.extend_from_slice(&0.5f32.to_le_bytes());
+        v2.extend_from_slice(&1.5f32.to_le_bytes());
+        assert!(load(&v2).is_err());
     }
 
     fn restored_backbone(sys: &mut RetrievalSystem, seed: u64) -> Backbone {
@@ -957,9 +709,7 @@ mod tests {
 
     #[test]
     fn v3_save_load_save_is_byte_identical() {
-        for mode in
-            [IndexMode::Exact, IndexMode::ivf(3, 2), IndexMode::pq(3, 2, 2, 4, 8), IndexMode::sq8(3, 2, 4)]
-        {
+        for mode in [IndexMode::Exact, IndexMode::ivf(3, 2), IndexMode::pq(3, 2, 2, 4, 8)] {
             let (mut sys, _) = compressed_system(mode);
             // Mutate so the image covers a published epoch, not just the
             // initial build.
@@ -1021,14 +771,11 @@ mod tests {
 
     #[test]
     fn v3_loads_truncated_image_as_error() {
-        let (sys, _) = compressed_system(IndexMode::sq8(3, 2, 0));
+        let (sys, _) = compressed_system(IndexMode::pq(3, 2, 2, 4, 0));
         let (_, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
         for cut in [4usize, 63, 64, 200] {
-            let mut rng = Rng64::new(7);
-            let b = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
             assert!(
-                RetrievalSystem::from_v3_bytes(b, &bytes[..cut], RetrievalConfig::default())
-                    .is_err(),
+                load(&bytes[..cut]).is_err(),
                 "truncation at {cut} must be rejected"
             );
         }
@@ -1049,11 +796,6 @@ mod tests {
         let dim = word(64);
         let ksub = aux_len / 4 / (m_sub * (dim / m_sub));
         assert!(codes_len > 0 && ksub > 1 && ksub <= 16);
-        let load = |image: &[u8]| {
-            let mut rng = Rng64::new(7);
-            let b = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
-            RetrievalSystem::from_v3_bytes(b, image, RetrievalConfig::default())
-        };
         let mut patched = bytes.clone();
         patched[codes_at + codes_len - 1] = (ksub - 1) as u8;
         assert!(load(&patched).is_ok(), "the last codeword is in range");
@@ -1085,17 +827,31 @@ mod tests {
         patch(&mut image, 80, total + (1 << 61));
         images.push(image);
         for (i, image) in images.iter().enumerate() {
-            let mut rng = Rng64::new(7);
-            let b = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
-            let loaded = RetrievalSystem::from_v3_bytes(b, image, RetrievalConfig::default());
-            assert!(loaded.is_err(), "patched image {i} must be rejected");
+            assert!(load(image).is_err(), "patched image {i} must be rejected");
+        }
+    }
+
+    #[test]
+    fn v3_rejects_nbits_that_disagree_with_the_codebooks() {
+        let (sys, _) = compressed_system(IndexMode::pq(3, 2, 2, 4, 8));
+        let (_, bytes) = GalleryIndex::to_v3_bytes(&sys).unwrap();
+        assert!(load(&bytes).is_ok(), "the unedited image loads");
+        // `nbits` is the fourth mode parameter, header bytes 40..48. The
+        // codebooks were trained at 4 bits: 1 bit contradicts their
+        // codeword count, and 2^32 + 4 is no u32 (narrowed, it would
+        // read back as 4).
+        for nbits in [1u64, (1 << 32) + 4] {
+            let mut image = bytes.clone();
+            image[40..48].copy_from_slice(&nbits.to_le_bytes());
+            assert!(load(&image).is_err(), "nbits {nbits} must be rejected");
         }
     }
 
     #[test]
     fn v3_file_round_trip_single_read() {
         let (mut sys, ds) = compressed_system(IndexMode::ivf(3, 3));
-        let dir = std::env::temp_dir().join("duo_index_v3_test");
+        let dir =
+            std::env::temp_dir().join(format!("duo_index_v3_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("gallery.duoindx3");
         let epoch = GalleryIndex::save_system_v3(&sys, &path).unwrap();
@@ -1112,18 +868,32 @@ mod tests {
             let q = ds.video(VideoId { class: c, instance: 1 });
             assert_eq!(sys.retrieve(&q).unwrap(), loaded.retrieve(&q).unwrap());
         }
-        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]
-    fn file_round_trip() {
-        let (sys, _) = system();
-        let index = GalleryIndex::from_system(&sys);
-        let dir = std::env::temp_dir().join("duo_index_test");
+    fn v3_save_over_an_existing_image_replaces_it_whole() {
+        let (mut sys, _) = compressed_system(IndexMode::pq(3, 2, 2, 4, 8));
+        let dir = std::env::temp_dir().join(format!("duo_index_v3_resave_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("gallery.duoindx");
-        index.save(&path).unwrap();
-        assert_eq!(GalleryIndex::load(&path).unwrap(), index);
-        let _ = std::fs::remove_file(path);
+        let path = dir.join("gallery.duoindx3");
+        GalleryIndex::save_system_v3(&sys, &path).unwrap();
+        sys.insert(
+            VideoId { class: 202, instance: 0 },
+            sys.nodes()[0].snapshot().entries().remove(0).1,
+        )
+        .unwrap();
+        assert_eq!(GalleryIndex::save_system_v3(&sys, &path).unwrap(), 1);
+        let loaded = RetrievalSystem::load_v3(
+            restored_backbone(&mut sys, 995),
+            &path,
+            RetrievalConfig { m: 5, ..RetrievalConfig::default() },
+        )
+        .unwrap();
+        assert_eq!((loaded.current_epoch(), loaded.gallery_len()), (1, sys.gallery_len()));
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["gallery.duoindx3"], "no temporary file may remain");
+        let _ = std::fs::remove_dir_all(dir);
     }
 }

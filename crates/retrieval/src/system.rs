@@ -24,10 +24,10 @@ pub struct RetrievalConfig {
     /// How each shard indexes its gallery slice: [`IndexMode::Exact`]
     /// (the default; bit-identical to an exhaustive scan),
     /// [`IndexMode::Ivf`] (sublinear approximate search with exact
-    /// re-ranking inside the probed lists), or the compressed modes
-    /// [`IndexMode::Pq`] / [`IndexMode::Sq8`] (residual codes scanned
-    /// in place of the f32 features, with an optional exact rerank
-    /// tail). See [`crate::index`].
+    /// re-ranking inside the probed lists), or the compressed mode
+    /// [`IndexMode::Pq`] (residual codes scanned in place of the f32
+    /// features, with an optional exact rerank tail). See
+    /// [`crate::index`].
     pub index: IndexMode,
 }
 duo_tensor::impl_to_json!(struct RetrievalConfig { m, nodes, threaded, index });

@@ -170,8 +170,6 @@ impl StatsInner {
             recall_at_m_ivf: index.ivf.recall_at_m(),
             recall_audits_pq: index.pq.audit_queries,
             recall_at_m_pq: index.pq.recall_at_m(),
-            recall_audits_sq8: index.sq8.audit_queries,
-            recall_at_m_sq8: index.sq8.recall_at_m(),
         }
     }
 }
@@ -327,7 +325,7 @@ pub struct ServiceStats {
     /// Bytes of compressed codes plus codec tables across all shards
     /// (0 when no shard runs a compressed mode).
     pub index_code_bytes: u64,
-    /// Coarse (IVF/PQ/SQ8) searches recall-audited against an exact scan,
+    /// Coarse (IVF/PQ) searches recall-audited against an exact scan,
     /// summed over all modes.
     pub recall_audits: u64,
     /// Running recall@m estimate from the audited coarse searches; `None`
@@ -342,10 +340,6 @@ pub struct ServiceStats {
     pub recall_audits_pq: u64,
     /// Recall@m over the PQ-audited searches only.
     pub recall_at_m_pq: Option<f32>,
-    /// Audited searches served by [`duo_retrieval::IndexMode::Sq8`] shards.
-    pub recall_audits_sq8: u64,
-    /// Recall@m over the SQ8-audited searches only.
-    pub recall_at_m_sq8: Option<f32>,
     /// Admission attempts observed by the streaming defense across all
     /// clients (0 when the service runs undefended).
     pub defense_observed: u64,
@@ -374,7 +368,6 @@ duo_tensor::impl_to_json!(struct ServiceStats {
     recall_audits, recall_at_m,
     recall_audits_ivf, recall_at_m_ivf,
     recall_audits_pq, recall_at_m_pq,
-    recall_audits_sq8, recall_at_m_sq8,
     defense_observed, defense_flagged, defense_throttled, defense_rejected,
     purified
 });
@@ -427,7 +420,7 @@ impl std::fmt::Display for ServiceStats {
         write!(
             f,
             "index: {} searches, {} rows scanned ({} reranked), {:.2} mean probes, \
-             {} feat B + {} code B, recall@m {} [ivf {}, pq {}, sq8 {}]",
+             {} feat B + {} code B, recall@m {} [ivf {}, pq {}]",
             self.index_queries,
             self.index_scanned_rows,
             self.index_reranked_rows,
@@ -440,7 +433,6 @@ impl std::fmt::Display for ServiceStats {
             },
             per_mode(self.recall_at_m_ivf, self.recall_audits_ivf),
             per_mode(self.recall_at_m_pq, self.recall_audits_pq),
-            per_mode(self.recall_at_m_sq8, self.recall_audits_sq8),
         )
     }
 }
@@ -546,8 +538,6 @@ mod tests {
         assert_eq!(stats.recall_at_m_ivf, Some(1.0));
         assert_eq!(stats.recall_audits_pq, 2);
         assert_eq!(stats.recall_at_m_pq, Some(0.8));
-        assert_eq!(stats.recall_audits_sq8, 0);
-        assert_eq!(stats.recall_at_m_sq8, None);
         assert_eq!(stats.index_reranked_rows, 64);
         let shown = stats.to_string();
         assert!(shown.contains("pq 0.800"), "{shown}");

@@ -17,6 +17,11 @@ cargo test -q --offline --workspace
 # kernel's vectorization (and so any float-order slip in it) can differ
 # from the test profile's opt-level 2.
 cargo test -q --release --offline -p duo-retrieval --lib
+# The index properties too, at the release profile: there overflowing
+# arithmetic wraps instead of panicking, so only this run shows the
+# hostile-image property's wrapped counts meeting the code the service
+# runs.
+cargo test -q --release --offline --test index_properties
 # The same for the kernels every backbone forward runs: the convolution
 # lowering's run kernel and its packing straight into GEMM strips
 # (duo-tensor), the lane Linear (duo-nn), and the GEMM/convolution
@@ -54,14 +59,14 @@ DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin mutate_se
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Index smoke: the shard-index bench at tiny scale — exercises the seed
-# scan vs SoA vs IVF vs compressed (PQ ADC, SQ8) paths end to end,
-# asserts the audited recall floor on the compressed entries, and writes
+# scan vs SoA vs IVF vs PQ ADC paths end to end, asserts the audited
+# recall floor on the PQ entry, and writes
 # BENCH_index.json (timed rows plus bytes-per-vector and recall-loss
 # pseudo-metric rows) for the threshold gate below.
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench index
 
 # Index sweep smoke: asserts the equivalence contracts (IVF full probe
-# == exact; PQ/SQ8 full probe + full-depth rerank bit-identical to
+# == exact; PQ full probe + full-depth rerank bit-identical to
 # exact), that recall audits fire on live IVF traffic, and that the
 # per-mode breakdown attributes PQ audits to the pq bucket with live
 # code-byte counters.
@@ -104,7 +109,7 @@ rm -f "$defense_smoke.replay"
 # rules in BENCH_thresholds.txt must hold on the trimmed means — a
 # kernel perf regression, a broken attack contract (zero-query family
 # charging queries, sparse family going dense), or a compressed-index
-# contract break (PQ/SQ8 slower than the wall, code footprint above the
+# contract break (PQ slower than the wall, code footprint above the
 # ratio, audited recall loss over 0.05) fails tier-1 here, not just a
 # schema break. (Full-scale rules are skipped at smoke scale; they gate
 # the committed BENCH_*.json artifacts instead.)

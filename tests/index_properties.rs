@@ -2,10 +2,9 @@
 //! bit-identity contract against the seed per-entry scan, the
 //! `nprobe == nlist` ⇒ exhaustive equivalence of IVF, monotonicity of
 //! recall@m in `nprobe` (DESIGN.md §6d's equivalence contract), and the
-//! compressed-mode contracts from §6h — full probe + full-depth exact
-//! rerank ≡ exact at the bit level for PQ and SQ8, recall monotone in
-//! `nprobe` under full-depth rerank, the SQ8 per-dimension quantization
-//! error bound, and `DUOINDX3` save → load → save byte-identity.
+//! PQ contracts from §6h — full probe + full-depth exact rerank ≡ exact
+//! at the bit level, recall monotone in `nprobe` under full-depth
+//! rerank, and `DUOINDX3` save → load → save byte-identity.
 //!
 //! The PQ monotonicity property deliberately pins `rerank` to the full
 //! candidate depth: under pure ADC ranking a wider probe can *demote* a
@@ -175,31 +174,6 @@ check! {
         }
     }
 
-    /// The same exhaustive-equivalence contract for SQ8: full probe plus
-    /// a rerank tail deep enough to rescore every candidate reproduces
-    /// the exact scan at the representation level.
-    fn sq8_full_probe_full_rerank_equals_exact(
-        seed in 0u64..1_000_000,
-        n in 1usize..100,
-        dim in 1usize..12,
-        nlist in 1usize..10,
-    ) {
-        let m = 1 + (seed % 16) as usize;
-        let entries = gallery(seed, n, dim);
-        let q = query(seed, dim);
-        let exact = DataNode::new("e", entries.clone());
-        let sq8 = DataNode::with_index_mode(
-            "s", entries, IndexMode::sq8(nlist, nlist, n), shard_seed(seed as usize),
-        ).unwrap();
-        let got = sq8.query(&q, m).unwrap();
-        let want = exact.query(&q, m).unwrap();
-        prop_assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert_eq!(g.id, w.id);
-            prop_assert_eq!(g.distance.to_bits(), w.distance.to_bits());
-        }
-    }
-
     /// Widening the probe never hurts PQ *when the rerank tail rescores
     /// every candidate exactly*: the candidate set at `nprobe+1` is a
     /// superset, and exact rescoring returns its true top-m, so recall
@@ -237,35 +211,6 @@ check! {
         prop_assert_eq!(last, 1.0);
     }
 
-    /// The SQ8 affine quantizer's error bound: every decoded residual
-    /// dimension sits within half a quantization step of the original
-    /// (plus float slack), so decoded rows are uniformly close to the
-    /// f32 matrix.
-    fn sq8_decode_error_is_bounded(
-        seed in 0u64..1_000_000,
-        n in 1usize..80,
-        dim in 1usize..10,
-        nlist in 1usize..8,
-    ) {
-        let entries = gallery(seed, n, dim);
-        let index = ShardIndex::build(
-            &entries, IndexMode::sq8(nlist, 1, 0), shard_seed(seed as usize),
-        ).unwrap();
-        let (_, steps) = index.sq8_params().unwrap();
-        let steps = steps.to_vec();
-        for (row, (_, feat)) in entries.iter().enumerate() {
-            let decoded = index.decode_row(row);
-            for ((&x, &y), &step) in feat.as_slice().iter().zip(&decoded).zip(&steps) {
-                let bound = step * 0.5001 + 1e-5;
-                prop_assert!(
-                    (x - y).abs() <= bound,
-                    "row {} decode error {} exceeds bound {} (step {})",
-                    row, (x - y).abs(), bound, step
-                );
-            }
-        }
-    }
-
     /// `DUOINDX3` round-trip determinism: serializing a system, loading
     /// it, and serializing again must produce byte-identical images for
     /// every index mode — the loaded system reconstructs exactly the
@@ -279,11 +224,10 @@ check! {
         nodes in 1usize..4,
     ) {
         let dim = dsub * m_sub;
-        let mode = match seed % 4 {
+        let mode = match seed % 3 {
             0 => IndexMode::Exact,
             1 => IndexMode::ivf(4, 2),
-            2 => IndexMode::pq(4, 2, m_sub, 8, 8),
-            _ => IndexMode::sq8(4, 2, 8),
+            _ => IndexMode::pq(4, 2, m_sub, 8, 8),
         };
         let entries = gallery(seed ^ 0xD15C, n, dim);
         let snapshot = GalleryIndex::with_mode(entries, mode);
@@ -308,9 +252,11 @@ check! {
     /// 0 truncates at a section boundary ± 1 byte, 1 flips up to four
     /// random bits in the header and shard directory, 2 sets one count
     /// (a shard's rows, `dim`, the shard count, the total, `nlist`,
-    /// `m_sub`) to an oversized value, and 3 adds `2^61` to a shard's
-    /// rows and to the total, so the id section's byte length wraps back
-    /// to its true value and only checked arithmetic can reject it.
+    /// `m_sub`) to an oversized value or adds a multiple of `2^32` to
+    /// `nbits` (a u32 narrowing would read the true width back), and 3
+    /// adds `2^61` to a shard's rows and to the total, so the id
+    /// section's byte length wraps back to its true value and only
+    /// checked arithmetic can reject it.
     fn hostile_duoindx3_images_are_errors(
         kind in 0u8..4,
         pick in 0usize..64,
@@ -340,13 +286,14 @@ check! {
             2 => {
                 const HUGE: [u64; 6] = [1 << 20, 1 << 32, 1 << 40, 1 << 61, u64::MAX / 4, u64::MAX];
                 let value = HUGE[n % HUGE.len()];
-                let at = match pick % 6 {
-                    0 => V3_DIR_START + (pick / 6 % shards) * V3_DIR_ENTRY,
-                    1 => 64,
-                    2 => 56,
-                    3 => 80,
-                    4 => 16,
-                    _ => 32,
+                let (at, value) = match pick % 7 {
+                    0 => (V3_DIR_START + (pick / 7 % shards) * V3_DIR_ENTRY, value),
+                    1 => (64, value),
+                    2 => (56, value),
+                    3 => (80, value),
+                    4 => (16, value),
+                    5 => (32, value),
+                    _ => (40, word(&bytes, 40) + ((1 + n as u64 % 3) << 32)),
                 };
                 patch(&mut bytes, at, value);
                 true
