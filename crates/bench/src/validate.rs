@@ -283,7 +283,7 @@ pub fn validate_bench_json(text: &str) -> Result<usize, String> {
 /// their [`THRESHOLD_STAT`] field.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThresholdRule {
-    /// Name of the entry under constraint (e.g. `gemm/256x256x256/threads2`).
+    /// Name of the entry under constraint (e.g. `gemm/256x256x256/packed`).
     pub lhs: String,
     /// Maximum allowed ratio of `lhs` to `rhs`.
     pub factor: f64,
@@ -302,7 +302,7 @@ pub const THRESHOLD_STAT: &str = "trimmed_mean_s";
 /// <lhs-name> <= <factor> * <rhs-name>
 /// ```
 ///
-/// e.g. `gemm/256x256x256/threads2 <= 0.90 * gemm/256x256x256/serial_blocked`.
+/// e.g. `gemm/256x256x256/packed <= 0.27 * gemm/256x256x256/reference`.
 /// Blank lines and `#` comments (full-line or trailing) are ignored.
 ///
 /// # Errors

@@ -136,9 +136,8 @@ impl Layer for Conv3d {
 
     fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
         // The weight matrix is the left GEMM operand of every item, so
-        // pack it once and reuse the packed panels across the whole batch
-        // (and across the output stripes of each threaded GEMM). The
-        // per-item arithmetic is `infer`'s, so every output is
+        // pack it once and reuse the packed panels across the whole batch.
+        // The per-item arithmetic is `infer`'s, so every output is
         // bit-identical to it.
         let packed_w = PackedA::pack(&self.weight_matrix()?)?;
         inputs.iter().map(|x| self.run_infer(&packed_w, x)).collect()

@@ -92,8 +92,8 @@ mod tests {
     fn infer_batch_is_bitwise_eval_forward_after_kernel_swap() {
         // The Layer contract: `infer_batch` equals per-sample eval-mode
         // `forward` at f32::to_bits granularity. The batched path runs the
-        // blocked (possibly threaded) GEMM with hoisted workspaces, the
-        // per-sample path runs the same kernels one item at a time.
+        // packed GEMM over one weight packing, the per-sample path runs
+        // the same kernels one item at a time.
         let mut rng = Rng64::new(76);
         let mut net = Sequential::new(vec![
             Box::new(Conv3d::new(Conv3dSpec::cubic(2, 3, (1, 1, 1), 1), 4, &mut rng))

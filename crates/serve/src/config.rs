@@ -41,7 +41,10 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Retrieval worker threads draining the batched work queue.
+    /// Retrieval worker threads draining the batched work queue. It also
+    /// caps the scoped threads one batched backbone forward splits its
+    /// batch across (at most one per item and one per core); each forward
+    /// runs its kernels on its own thread.
     pub workers: usize,
     /// Maximum requests coalesced into one batched backbone forward.
     pub batch_max: usize,
@@ -61,17 +64,6 @@ pub struct ServeConfig {
     /// query is never billed to the client's ledger. `None` disables the
     /// default deadline.
     pub default_deadline: Option<Duration>,
-    /// Threads the tensor kernels (GEMM, convolution forward) may use *inside* one
-    /// forward pass, applied process-wide at
-    /// [`crate::RetrievalService::start`] via
-    /// [`duo_tensor::set_intra_op_threads`]. `0` (the default) resolves
-    /// to the machine's available parallelism, capped at
-    /// [`duo_tensor::MAX_AUTO_THREADS`]. Results are bit-identical at
-    /// every setting — this trades latency only, never numerics — so the
-    /// knob composes freely with `workers` (inter-request parallelism):
-    /// batch-heavy deployments favour `workers`, latency-sensitive ones
-    /// give the spare cores to `intra_op_threads`.
-    pub intra_op_threads: usize,
     /// Optional blue-team stage: per-account streaming detection at
     /// admission plus optional input purification on the inference path.
     /// `None` (the default) serves undefended.
@@ -86,7 +78,6 @@ impl Default for ServeConfig {
             batch_wait: Duration::from_millis(2),
             queue_cap: 64,
             default_deadline: None,
-            intra_op_threads: 0,
             defense: None,
         }
     }

@@ -68,6 +68,9 @@ pub(crate) struct Shared {
     /// join it.
     admitting: AtomicUsize,
     stopped: AtomicBool,
+    /// The machine's available parallelism, resolved once at start: the
+    /// query reads cgroup files, too slow to repeat per batch.
+    cores: usize,
 }
 
 /// One request's count in [`Shared::admitting`], released on drop: just
@@ -142,10 +145,6 @@ impl RetrievalService {
     /// queue capacity.
     pub fn start(system: RetrievalSystem, config: ServeConfig) -> Result<Self, ServeError> {
         config.validate()?;
-        // Process-wide by design: the tensor kernels have one intra-op
-        // pool, and the service is the deployment-level owner of the
-        // threading budget. Bit-identical at any setting.
-        duo_tensor::set_intra_op_threads(config.intra_op_threads);
         let nodes = system.nodes().len();
         let shared = Arc::new(Shared {
             system,
@@ -154,6 +153,7 @@ impl RetrievalService {
             queue_depth: AtomicUsize::new(0),
             admitting: AtomicUsize::new(0),
             stopped: AtomicBool::new(false),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         });
         let (ingress, ingress_rx) = mpsc::sync_channel::<Msg>(config.queue_cap);
         let (work_tx, work_rx) = mpsc::sync_channel::<Work>(config.queue_cap);
@@ -393,8 +393,7 @@ fn flush_batch(shared: &Shared, batch: Vec<Request>, work_tx: &SyncSender<Work>,
     // bit-identical to a lone embed, so batching never changes results.
     // Fan out across at most the machine's real parallelism — extra
     // scoped threads on a saturated core are pure overhead.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let embed_workers = config.workers.min(batch.len()).min(cores);
+    let embed_workers = config.workers.min(batch.len()).min(shared.cores);
     let videos: Vec<&Video> = batch.iter().map(|r| &r.video).collect();
     match shared.system.embed_batch(&videos, embed_workers) {
         Ok(features) => {

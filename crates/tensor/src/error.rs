@@ -43,17 +43,6 @@ pub enum TensorError {
     InvalidGeometry(String),
     /// A numeric argument was invalid (e.g. zero-sized dimension, negative size).
     InvalidArgument(String),
-    /// A parallel kernel failed because a thread-pool job panicked.
-    ///
-    /// The panic was contained by the pool ([`crate::ThreadPool::run`])
-    /// and the pool remains usable; this error surfaces it to the caller
-    /// instead of unwinding through the kernel.
-    Parallel {
-        /// Name of the kernel that dispatched the failed jobs.
-        op: &'static str,
-        /// Rendered panic message from the pool.
-        message: String,
-    },
 }
 
 impl fmt::Display for TensorError {
@@ -73,9 +62,6 @@ impl fmt::Display for TensorError {
             }
             TensorError::InvalidGeometry(msg) => write!(f, "invalid geometry: {msg}"),
             TensorError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
-            TensorError::Parallel { op, message } => {
-                write!(f, "parallel kernel `{op}` failed: {message}")
-            }
         }
     }
 }

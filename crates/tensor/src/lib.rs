@@ -31,7 +31,6 @@ mod conv;
 mod error;
 pub mod json;
 mod matmul;
-mod par;
 mod pool;
 mod rng;
 mod shape;
@@ -40,14 +39,7 @@ mod tensor;
 pub use conv::{col2im3d, im2col3d, Conv3dSpec};
 pub use error::TensorError;
 pub use json::{Json, ToJson};
-pub use matmul::{
-    gemm, gemm_bias, gemm_bias_with, gemm_im2col3d, gemm_im2col3d_with, matmul_into,
-    matmul_into_reference, matmul_into_serial, matmul_into_with, PackedA,
-};
-pub use par::{
-    intra_op_threads, set_intra_op_threads, PoolError, ThreadPool, MAX_AUTO_THREADS,
-    RING_CAPACITY,
-};
+pub use matmul::{gemm_im2col3d, matmul_into, matmul_into_reference, PackedA};
 pub use pool::{avg_pool3d, avg_pool3d_backward, max_pool3d, max_pool3d_backward, Pool3dSpec};
 pub use rng::{RandomSource, Rng64, Xoshiro256pp};
 pub use shape::Shape;

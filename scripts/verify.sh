@@ -72,9 +72,9 @@ DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench index
 # code-byte counters.
 DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin index_sweep
 
-# Kernel + serving + epoch bench smokes: the GEMM bench asserts
-# bit-identity on every variant (reference, serial, each thread count,
-# fused bias) before timing, the mutate bench asserts the epoch path
+# Kernel + serving + epoch bench smokes: the GEMM bench asserts the
+# packed kernel bit-identical to the reference before timing the two
+# interleaved, the mutate bench asserts the epoch path
 # ranks identically to the frozen-snapshot baseline, and all three write
 # their BENCH_*.json artifacts under target/bench-smoke/.
 DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench gemm

@@ -1,37 +1,29 @@
-//! Bit-identity property suite for the parallel compute core.
+//! Bit-identity property suite for the GEMM and convolution kernels.
 //!
-//! The PR 5 determinism contract: the threaded, cache-blocked kernels
-//! (`matmul_into_with`, and the convolution forward `gemm_im2col3d_with`)
-//! produce outputs equal to the serial kernels at `f32::to_bits`
-//! granularity for every shape and every thread count — workers own
-//! disjoint output rows and run the identical per-element float program,
-//! so partitioning can never move a bit. Thread counts {1, 2, 3, 8}
-//! cover the degenerate pool, non-divisible row splits, and
-//! oversubscription; the generated shapes land on every `MR`/`NR` tile
-//! remainder class.
+//! The determinism contract: the packed kernels (`matmul_into`, and the
+//! convolution forward `gemm_im2col3d`) produce outputs equal to the
+//! oracle `matmul_into_reference` at `f32::to_bits` granularity for every
+//! shape — every kernel runs the identical per-element float program, so
+//! packing and tiling can never move a bit. The generated shapes land on
+//! every `MR`/`NR` tile remainder class and every 8-row block remainder.
 //!
-//! The wide-kernel rework extends the wall: the fused-bias entry points
-//! (`gemm_bias`, `gemm_bias_with`) must equal a GEMM followed by a bias
-//! loop, a `PackedA` reused across right operands must equal packing
-//! fresh, and every 8-row block remainder class must survive the packed
+//! A `PackedA` reused across right operands must equal the oracle on each
+//! product, and every 8-row block remainder class must survive the packed
 //! kernel's full-depth store schedule. The convolution forward lowers its
 //! input straight into the packed B strips; over strides, pads, kernel
-//! extents and output widths it must equal `matmul_into` against the
-//! materialized `im2col3d` matrix.
+//! extents and output widths it must equal the oracle against the
+//! materialized `im2col3d` matrix. Callers on several threads at once
+//! share only the workspace bin, and must still land on the oracle's bits.
 //!
 //! Failing case seeds persist to `tests/properties.regressions` and
 //! replay before fresh generation (asserted at the bottom of this file).
 
 use duo_check::{check, prop_assert_eq, Config, Strategy};
 use duo_tensor::{
-    gemm_bias, gemm_bias_with, gemm_im2col3d, gemm_im2col3d_with, im2col3d, matmul_into,
-    matmul_into_serial, matmul_into_with, Conv3dSpec, PackedA, Rng64, Tensor, ThreadPool,
+    gemm_im2col3d, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec, PackedA, Rng64,
+    Tensor,
 };
 use std::ops::Range;
-
-/// Thread counts every property sweeps: serial shortcut, uneven splits,
-/// and oversubscription past any sane core count for the tiny shapes.
-const THREADS: [usize; 4] = [1, 2, 3, 8];
 
 const REGRESSIONS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/properties.regressions");
 
@@ -53,60 +45,22 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+fn reference(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(&[a.dims()[0], b.dims()[1]]);
+    matmul_into_reference(a, b, &mut out).unwrap();
+    out
+}
+
 check! {
     #![config(config())]
 
-    fn threaded_matmul_is_bitwise_serial(m in dim(), k in dim(), n in dim(), s in seed()) {
+    fn packed_matmul_is_bitwise_reference(m in dim(), k in dim(), n in dim(), s in seed()) {
         let mut rng = Rng64::new(s);
         let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
         let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-        let mut serial = Tensor::zeros(&[m, n]);
-        matmul_into_serial(&a, &b, &mut serial).unwrap();
-        for &threads in &THREADS {
-            let pool = ThreadPool::new(threads);
-            let mut par = Tensor::zeros(&[m, n]);
-            matmul_into_with(&a, &b, &mut par, &pool).unwrap();
-            prop_assert_eq!(
-                bits(&serial),
-                bits(&par),
-                "({m},{k},{n}) drifted at {threads} threads"
-            );
-        }
-    }
-
-    fn fused_bias_gemm_is_bitwise_unfused(m in dim(), k in dim(), n in dim(), s in seed()) {
-        let mut rng = Rng64::new(s);
-        let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
-        let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-        let bias = Tensor::randn(&[n], 1.0, rng.as_rng());
-        // Unfused reference: serial GEMM, then a bias sweep adding
-        // `bias[j]` onto each finished element — bias last, exactly the
-        // contract's float program.
-        let mut reference = Tensor::zeros(&[m, n]);
-        matmul_into_serial(&a, &b, &mut reference).unwrap();
-        let bv = bias.as_slice().to_vec();
-        for row in reference.as_mut_slice().chunks_exact_mut(n) {
-            for (o, bval) in row.iter_mut().zip(&bv) {
-                *o += bval;
-            }
-        }
-        let mut fused = Tensor::full(&[m, n], f32::NAN);
-        gemm_bias(&a, &b, &bias, &mut fused).unwrap();
-        prop_assert_eq!(
-            bits(&reference),
-            bits(&fused),
-            "({m},{k},{n}) fused bias drifted from gemm + bias loop"
-        );
-        for &threads in &THREADS {
-            let pool = ThreadPool::new(threads);
-            let mut par = Tensor::full(&[m, n], f32::NAN);
-            gemm_bias_with(&a, &b, &bias, &mut par, &pool).unwrap();
-            prop_assert_eq!(
-                bits(&reference),
-                bits(&par),
-                "({m},{k},{n}) fused bias drifted at {threads} threads"
-            );
-        }
+        let mut packed = Tensor::full(&[m, n], f32::NAN);
+        matmul_into(&a, &b, &mut packed).unwrap();
+        prop_assert_eq!(bits(&reference(&a, &b)), bits(&packed), "({m},{k},{n}) drifted");
     }
 
     fn packed_a_reuse_is_bitwise_fresh(m in dim(), k in dim(), n in dim(), s in seed()) {
@@ -116,21 +70,19 @@ check! {
         let b2 = Tensor::randn(&[k, n], 1.0, rng.as_rng());
         let packed = PackedA::pack(&a).unwrap();
         // One packing, two right operands — the reuse pattern of
-        // `Conv3d::infer_batch` — must match the fresh serial kernel on
-        // both products. A `[k, n]` operand is a `[k, 1, 1, n]` clip under
-        // a unit 1×1×1 kernel, whose lowering is the identity reshape, so
-        // the convolution forward keeps this property's GEMM shapes.
+        // `Conv3d::infer_batch` — must match the oracle on both products.
+        // A `[k, n]` operand is a `[k, 1, 1, n]` clip under a unit 1×1×1
+        // kernel, whose lowering is the identity reshape, so the
+        // convolution forward keeps this property's GEMM shapes.
         let unit = Conv3dSpec::cubic(k, 1, (1, 1, 1), 0);
         for bmat in [&b1, &b2] {
-            let mut serial = Tensor::zeros(&[m, n]);
-            matmul_into_serial(&a, bmat, &mut serial).unwrap();
             let clip = bmat.reshape(&[k, 1, 1, n]).unwrap();
             let mut reused = Tensor::full(&[m, n], f32::NAN);
             gemm_im2col3d(&packed, &clip, &unit, &mut reused).unwrap();
             prop_assert_eq!(
-                bits(&serial),
+                bits(&reference(&a, bmat)),
                 bits(&reused),
-                "({m},{k},{n}) packed-A reuse drifted from the serial kernel"
+                "({m},{k},{n}) packed-A reuse drifted from the oracle"
             );
         }
     }
@@ -166,23 +118,14 @@ check! {
         let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
         let cols = im2col3d(&input, &spec).unwrap();
         let weight = Tensor::randn(&[oc, cols.dims()[0]], 1.0, rng.as_rng());
-        let mut want = Tensor::zeros(&[oc, cols.dims()[1]]);
-        matmul_into(&weight, &cols, &mut want).unwrap();
+        let want = reference(&weight, &cols);
         let packed = PackedA::pack(&weight).unwrap();
         let mut fused = Tensor::full(want.dims(), f32::NAN);
         gemm_im2col3d(&packed, &input, &spec, &mut fused).unwrap();
         prop_assert_eq!(bits(&want), bits(&fused), "[{chans},{t},{h},{w}] oc{oc} {spec:?}");
-        let pool = ThreadPool::new(2);
-        let mut par = Tensor::full(want.dims(), f32::NAN);
-        gemm_im2col3d_with(&packed, &input, &spec, &mut par, &pool).unwrap();
-        prop_assert_eq!(
-            bits(&want),
-            bits(&par),
-            "[{chans},{t},{h},{w}] oc{oc} {spec:?} drifted on 2 workers"
-        );
     }
 
-    fn threaded_conv3d_is_bitwise_serial(
+    fn packed_conv3d_is_bitwise_reference(
         oc in 1usize..6,
         thw in (3usize..7, 3usize..7, 3usize..7),
         ck in (1usize..3, 1usize..4),
@@ -198,63 +141,48 @@ check! {
         let cols = ot * oh * ow;
         let weight = Tensor::randn(&[oc, rows], 1.0, rng.as_rng());
 
-        // Serial conv3d: the materialized lowering, serial GEMM.
-        let mut out_serial = Tensor::zeros(&[oc, cols]);
-        matmul_into_serial(&weight, &im2col3d(&input, &spec).unwrap(), &mut out_serial).unwrap();
+        // Oracle conv3d: the materialized lowering, reference GEMM.
+        let want = reference(&weight, &im2col3d(&input, &spec).unwrap());
 
-        // Threaded conv3d: the lowering packed straight into B strips,
-        // rows striped across the pool.
+        // Inference conv3d: the lowering packed straight into B strips.
         let packed = PackedA::pack(&weight).unwrap();
-        for &threads in &THREADS {
-            let pool = ThreadPool::new(threads);
-            let mut out_par = Tensor::full(&[oc, cols], f32::NAN);
-            gemm_im2col3d_with(&packed, &input, &spec, &mut out_par, &pool).unwrap();
-            prop_assert_eq!(
-                bits(&out_serial),
-                bits(&out_par),
-                "conv3d [{chans},{t},{h},{w}] k{kern} oc{oc} drifted at {threads} threads"
-            );
-        }
+        let mut out = Tensor::full(&[oc, cols], f32::NAN);
+        gemm_im2col3d(&packed, &input, &spec, &mut out).unwrap();
+        prop_assert_eq!(
+            bits(&want),
+            bits(&out),
+            "conv3d [{chans},{t},{h},{w}] k{kern} oc{oc} drifted"
+        );
     }
 }
 
-/// Fixed shapes that straddle the blocking constants (`KC = 256`,
-/// `NC = 1024`, `MR = 4`, `NR = 16`): multi-panel k, multi-panel n, and
-/// dimensions one off every tile multiple.
+/// Fixed shapes that straddle the kernels' tiles (`MR8 = 8`, `MR = 4`,
+/// `NR = 16`, `NR2 = 32`) and reach deep and wide: depths past 256 and
+/// 512, a width past 1024, exact multiples, and a product smaller than
+/// one tile.
 #[test]
 fn panel_boundary_shapes_are_bitwise_serial() {
     let mut rng = Rng64::new(0xb10c);
     for &(m, k, n) in &[
-        (13usize, 259usize, 60usize), // k crosses one KC boundary, odd everything
-        (5, 513, 48),                 // k spans three KC panels
-        (9, 40, 1030),                // n crosses the NC panel boundary
-        (64, 256, 64),                // exact tile/panel multiples
+        (13usize, 259usize, 60usize), // deep, odd everything
+        (5, 513, 48),                 // deeper still, tail rows only
+        (9, 40, 1030),                // 32 full strips + a 6-wide strip
+        (64, 256, 64),                // exact block/strip multiples
         (3, 17, 15),                  // below one NR tile, m < MR
     ] {
         let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
         let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-        let mut serial = Tensor::zeros(&[m, n]);
-        matmul_into_serial(&a, &b, &mut serial).unwrap();
-        for &threads in &THREADS {
-            let pool = ThreadPool::new(threads);
-            let mut par = Tensor::zeros(&[m, n]);
-            matmul_into_with(&a, &b, &mut par, &pool).unwrap();
-            assert_eq!(
-                serial.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                par.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "({m},{k},{n}) drifted at {threads} threads"
-            );
-        }
+        let mut packed = Tensor::full(&[m, n], f32::NAN);
+        matmul_into(&a, &b, &mut packed).unwrap();
+        assert_eq!(bits(&reference(&a, &b)), bits(&packed), "({m},{k},{n}) drifted");
     }
 }
 
-/// Every row-remainder class of the 8-row packed kernel, with the depth
-/// crossing the legacy `KC = 256` panel boundary: the packed path sweeps
-/// full depth in one register pass while the serial reference re-panels
-/// at `KC`, so these shapes prove the store-schedule difference never
-/// moves a bit. `m ∈ {1, 4, 7}` never fills a block (pure
-/// `micro_4`/`micro_1` tail), `{8, 16}` are exact blocks, `{9, 15, 17}`
-/// mix full blocks with every tail size class.
+/// Every row-remainder class of the 8-row packed kernel at a depth past
+/// 256: the packed path sweeps full depth in one register pass per
+/// block. `m ∈ {1, 4, 7}` never fills a block (pure `micro_4`/`micro_1`
+/// tail), `{8, 16}` are exact blocks, `{9, 15, 17}` mix full blocks with
+/// every tail size class.
 #[test]
 fn eight_row_block_boundaries_are_bitwise_serial() {
     let mut rng = Rng64::new(0x8b10c);
@@ -262,34 +190,49 @@ fn eight_row_block_boundaries_are_bitwise_serial() {
         for &(k, n) in &[(259usize, 37usize), (300, 64)] {
             let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
             let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-            let bias = Tensor::randn(&[n], 1.0, rng.as_rng());
-            let mut serial = Tensor::zeros(&[m, n]);
-            matmul_into_serial(&a, &b, &mut serial).unwrap();
-            let mut expected_bias = serial.clone();
-            for row in expected_bias.as_mut_slice().chunks_exact_mut(n) {
-                for (o, bval) in row.iter_mut().zip(bias.as_slice()) {
-                    *o += bval;
-                }
-            }
-            for &threads in &THREADS {
-                let pool = ThreadPool::new(threads);
-                let mut par = Tensor::full(&[m, n], f32::NAN);
-                matmul_into_with(&a, &b, &mut par, &pool).unwrap();
-                assert_eq!(
-                    bits(&serial),
-                    bits(&par),
-                    "({m},{k},{n}) drifted at {threads} threads"
-                );
-                let mut fused = Tensor::full(&[m, n], f32::NAN);
-                gemm_bias_with(&a, &b, &bias, &mut fused, &pool).unwrap();
-                assert_eq!(
-                    bits(&expected_bias),
-                    bits(&fused),
-                    "({m},{k},{n}) fused bias drifted at {threads} threads"
-                );
-            }
+            let mut packed = Tensor::full(&[m, n], f32::NAN);
+            matmul_into(&a, &b, &mut packed).unwrap();
+            assert_eq!(bits(&reference(&a, &b)), bits(&packed), "({m},{k},{n}) drifted");
         }
     }
+}
+
+/// Four threads, released together, multiply at once, each over its own
+/// mix of shapes. The workspace bin is the only state they share, so a
+/// buffer handed out with stale contents, or to two callers at once,
+/// shows as a bit that differs from the oracle.
+#[test]
+fn concurrent_callers_are_bitwise_reference() {
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                let mut rng = Rng64::new(0xc0c0 + t);
+                for call in 0..300 {
+                    let m = 1 + rng.below(40);
+                    let k = 1 + rng.below(48);
+                    let n = 1 + rng.below(70);
+                    let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
+                    let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
+                    let want = bits(&reference(&a, &b));
+                    let mut out = Tensor::full(&[m, n], f32::NAN);
+                    if call % 2 == 0 {
+                        matmul_into(&a, &b, &mut out).unwrap();
+                    } else {
+                        // The unit 1×1×1 convolution's lowering is the
+                        // identity reshape of `b`.
+                        let clip = b.reshape(&[k, 1, 1, n]).unwrap();
+                        let unit = Conv3dSpec::cubic(k, 1, (1, 1, 1), 0);
+                        let packed = PackedA::pack(&a).unwrap();
+                        gemm_im2col3d(&packed, &clip, &unit, &mut out).unwrap();
+                    }
+                    assert_eq!(want, bits(&out), "thread {t} call {call} ({m},{k},{n})");
+                }
+            });
+        }
+    });
 }
 
 /// The committed kernel regression seeds must replay *before* fresh
@@ -300,25 +243,25 @@ fn committed_regression_seeds_replay_before_fresh_generation() {
     let text = std::fs::read_to_string(REGRESSIONS).unwrap();
     let committed: Vec<u64> = duo_check::parse_regressions(&text)
         .into_iter()
-        .filter(|(name, _)| name == "threaded_matmul_is_bitwise_serial")
+        .filter(|(name, _)| name == "packed_matmul_is_bitwise_reference")
         .map(|(_, s)| s)
         .collect();
     assert!(
         !committed.is_empty(),
-        "tests/properties.regressions must carry the PR 5 kernel seeds"
+        "tests/properties.regressions must carry the GEMM kernel seeds"
     );
-    for required in ["packed_lowering_is_bitwise_im2col_gemm", "fused_bias_gemm_is_bitwise_unfused"] {
-        assert!(
-            duo_check::parse_regressions(&text).iter().any(|(name, _)| name == required),
-            "tests/properties.regressions must carry a seed for {required}"
-        );
-    }
+    assert!(
+        duo_check::parse_regressions(&text)
+            .iter()
+            .any(|(name, _)| name == "packed_lowering_is_bitwise_im2col_gemm"),
+        "tests/properties.regressions must carry a seed for packed_lowering_is_bitwise_im2col_gemm"
+    );
 
     let strategy = (dim(), dim(), dim(), seed());
     let observed = std::cell::RefCell::new(Vec::new());
     let cfg = Config::default().with_cases(0).with_regressions(REGRESSIONS);
     let outcome = duo_check::run_property_result(
-        "threaded_matmul_is_bitwise_serial",
+        "packed_matmul_is_bitwise_reference",
         &cfg,
         &strategy,
         |value| {
