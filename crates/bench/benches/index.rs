@@ -16,6 +16,12 @@
 //! * `index/pq_*` — IVF-PQ at the headline code shape (`m_sub = dim/8`
 //!   subspaces, 8-bit codes, rerank 64): LUT-driven ADC scan over the
 //!   probed lists, exact f32 rescore of the top candidates.
+//! * `index/fanout_{inline,threaded}_8x3000` — full scale only: one
+//!   caller's `RetrievalSystem::retrieve_resilient` over 8 shards of
+//!   3,000 clustered 128-d rows in `gallery_churn`'s IVF-PQ mode, with
+//!   the node fan-out inline and on lanes (at most one per core). On a
+//!   single core both would time the same code, so smoke scale has no
+//!   pair.
 //!
 //! Besides wall-clock entries, the artifact carries **pseudo-metric**
 //! rows in the same schema (single-sample `trimmed_mean_s`), so the
@@ -46,7 +52,10 @@
 //! writes it at the repo root. `bench_check` reads either.
 
 use duo_bench::{BenchResult, Runner};
-use duo_retrieval::{recall_at_m, IndexMode, ScoredId, ShardIndex};
+use duo_models::{Architecture, Backbone, BackboneConfig};
+use duo_retrieval::{
+    recall_at_m, GalleryIndex, IndexMode, RetrievalConfig, RetrievalSystem, ScoredId, ShardIndex,
+};
 use duo_tensor::{Rng64, Tensor};
 use duo_video::VideoId;
 use std::hint::black_box;
@@ -136,6 +145,44 @@ fn measured_recall(idx: &ShardIndex, qs: &[Tensor], exact_ids: &[Vec<VideoId>]) 
         / qs.len() as f32
 }
 
+/// Times one caller's queries against two systems over the same 8 ×
+/// 3,000-row PQ gallery, fanning out inline and on lanes, after
+/// asserting both return the same [`duo_retrieval::Retrieved`].
+fn fan_out(runner: &mut Runner) {
+    const NODES: usize = 8;
+    const ROWS: usize = 3_000;
+    let entries = clustered_gallery(NODES * ROWS, 128, 0xFA40);
+    let qs = queries(&entries, 0xFA40);
+    let gallery = GalleryIndex::new(entries);
+    let backbone =
+        Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut Rng64::new(0xFA40)).unwrap();
+    let system = |threaded| {
+        let index = IndexMode::pq(8, 8, 64, 4, 256);
+        let config = RetrievalConfig { m: TOP_M, nodes: NODES, threaded, index };
+        RetrievalSystem::from_index(backbone.clone(), &gallery, config).unwrap()
+    };
+    let systems = [system(false), system(true)];
+    for q in &qs {
+        assert_eq!(
+            systems[0].retrieve_resilient(q).unwrap(),
+            systems[1].retrieve_resilient(q).unwrap(),
+            "threaded fan-out drifted from inline"
+        );
+    }
+    let names = [
+        format!("index/fanout_inline_{NODES}x{ROWS}"),
+        format!("index/fanout_threaded_{NODES}x{ROWS}"),
+    ];
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    runner.bench_interleaved(&names, |entry| {
+        let start = Instant::now();
+        for q in &qs {
+            black_box(systems[entry].retrieve_resilient(q).unwrap());
+        }
+        start.elapsed().as_secs_f64()
+    });
+}
+
 fn main() {
     let mut runner = Runner::default().sample_size(20);
     runner.apply_cli_args();
@@ -219,6 +266,10 @@ fn main() {
             &format!("index/pq_recall_loss_{n}"),
             vec![f64::from(1.0 - audited)],
         ));
+    }
+
+    if !smoke() {
+        fan_out(&mut runner);
     }
 
     let mut results = runner.results().to_vec();

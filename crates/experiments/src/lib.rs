@@ -224,9 +224,10 @@ pub fn build_world(
         .into_iter()
         .filter(|id| id.instance >= scale.train_per_class)
         .collect();
-    // Parallel gallery indexing and threaded node fan-out are both
-    // bit-identical to their serial counterparts (asserted by tier-1
-    // tests), so experiments default to the fast path.
+    // Parallel gallery indexing and the threaded node fan-out (at most
+    // one lane of nodes per core) are both bit-identical to their
+    // serial counterparts (asserted by tier-1 tests), so experiments
+    // default to the fast path.
     let workers = std::thread::available_parallelism().map_or(2, |n| n.get()).min(8);
     let system = RetrievalSystem::build_parallel(
         backbone,

@@ -332,8 +332,9 @@ impl Backbone {
     }
 
     /// Extracts embeddings for a batch of videos through the network's
-    /// batched forward ([`duo_nn::Layer::infer_batch`]), fanning chunks
-    /// across up to `workers` threads.
+    /// batched forward ([`duo_nn::Layer::infer_batch`]), split into up
+    /// to `workers` contiguous chunks: the calling thread runs the first
+    /// and one scoped thread runs each other one.
     ///
     /// The batched forward runs the exact same per-item computation as
     /// [`Backbone::extract`] — it only amortizes per-call setup (each
@@ -350,26 +351,21 @@ impl Backbone {
             return Ok(Vec::new());
         }
         let workers = workers.max(1).min(videos.len());
-        if workers == 1 {
-            let inputs: Vec<Tensor> = videos.iter().map(|v| v.to_model_input()).collect();
-            return Ok(self.net.infer_batch(&inputs)?);
-        }
-        let mut slots: Vec<Option<Result<Vec<Tensor>>>> = Vec::new();
-        let chunk = videos.len().div_ceil(workers);
-        slots.resize_with(videos.chunks(chunk).len(), || None);
+        let run = |vids: &[&Video]| -> Result<Vec<Tensor>> {
+            let inputs: Vec<Tensor> = vids.iter().map(|v| v.to_model_input()).collect();
+            Ok(self.net.infer_batch(&inputs)?)
+        };
+        let mut chunks = videos.chunks(videos.len().div_ceil(workers));
+        let first = chunks.next().expect("a non-empty batch has a first chunk");
         std::thread::scope(|scope| {
-            for (vids, slot) in videos.chunks(chunk).zip(slots.iter_mut()) {
-                scope.spawn(move || {
-                    let inputs: Vec<Tensor> = vids.iter().map(|v| v.to_model_input()).collect();
-                    *slot = Some(self.net.infer_batch(&inputs).map_err(Into::into));
-                });
+            let handles: Vec<_> = chunks.map(|vids| scope.spawn(move || run(vids))).collect();
+            let mut outs = Vec::with_capacity(videos.len());
+            outs.extend(run(first)?);
+            for handle in handles {
+                outs.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e))?);
             }
-        });
-        let mut outs = Vec::with_capacity(videos.len());
-        for slot in slots {
-            outs.extend(slot.expect("every slot filled by its worker")?);
-        }
-        Ok(outs)
+            Ok(outs)
+        })
     }
 
     /// Extracts an embedding through the *training* forward pass, leaving

@@ -12,10 +12,9 @@
 //!
 //! Injected latency is *virtual*: a node attempt reports how long it
 //! would have taken (`delay_us`), and the resilience layer compares that
-//! against its per-node deadline to decide timeouts. Setting
-//! [`FaultPlan::wall_clock`] additionally sleeps the injected delay so
-//! concurrency tests see real contention, but the schedule itself never
-//! depends on elapsed time.
+//! against its per-node deadline to decide timeouts. Nothing sleeps: a
+//! lane of the threaded fan-out queries its nodes one after another, so
+//! slept delays would add up within a lane instead of overlapping.
 
 use duo_tensor::Rng64;
 
@@ -79,17 +78,9 @@ pub struct FaultPlan {
     pub spike_us: u64,
     /// Scheduled offline windows in node-query-index space.
     pub flaps: Vec<FlapWindow>,
-    /// Actually sleep the injected delay (capped at
-    /// [`FaultPlan::WALL_CLOCK_CAP_US`]) so concurrent tests see real
-    /// slowness. Decisions are identical either way.
-    pub wall_clock: bool,
 }
 
 impl FaultPlan {
-    /// Upper bound on a real injected sleep, so `wall_clock` plans can
-    /// never hang a test run.
-    pub const WALL_CLOCK_CAP_US: u64 = 20_000;
-
     /// A plan that injects nothing (useful as a builder base).
     pub fn none(seed: u64) -> Self {
         FaultPlan {
@@ -100,7 +91,6 @@ impl FaultPlan {
             spike_p: 0.0,
             spike_us: 0,
             flaps: Vec::new(),
-            wall_clock: false,
         }
     }
 

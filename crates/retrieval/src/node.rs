@@ -274,16 +274,7 @@ impl DataNode {
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
-            .map(|plan| {
-                let d = plan.decision(index);
-                if plan.wall_clock && d.delay_us > 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(
-                        d.delay_us.min(FaultPlan::WALL_CLOCK_CAP_US),
-                    ));
-                }
-                d
-            })
-            .unwrap_or_else(crate::FaultDecision::clean);
+            .map_or_else(crate::FaultDecision::clean, |plan| plan.decision(index));
         if decision.offline {
             return Err(NodeFault::Offline);
         }

@@ -17,9 +17,12 @@ pub struct RetrievalConfig {
     pub m: usize,
     /// Number of data-node shards the gallery is spread over.
     pub nodes: usize,
-    /// Whether node fan-out runs on scoped threads (true) or inline
-    /// (false). Thread fan-out demonstrates the distributed query path;
-    /// inline is faster on a single core.
+    /// Whether a query's node fan-out runs on lanes (true) or inline on
+    /// the calling thread (false). Lanes split the nodes into at most
+    /// one contiguous chunk per core; the calling thread runs the first
+    /// chunk and one scoped thread runs each other one, so on one core
+    /// neither mode spawns a thread. Results and telemetry are
+    /// bit-identical either way.
     pub threaded: bool,
     /// How each shard indexes its gallery slice: [`IndexMode::Exact`]
     /// (the default; bit-identical to an exhaustive scan),
@@ -63,6 +66,10 @@ pub struct RetrievalSystem {
     /// Serializes gallery writers (one epoch transaction builds at a
     /// time) and accumulates the system's mutation counters.
     mutation: Mutex<MutationStats>,
+    /// Most threads a threaded fan-out runs on: the machine's available
+    /// parallelism, resolved once at assembly (the lookup reads cgroup
+    /// files, tens of microseconds a call).
+    lanes: usize,
 }
 
 /// A writer transaction's view of the gallery's next generation: every
@@ -276,8 +283,9 @@ impl RetrievalSystem {
         Self::build_with_workers(backbone, dataset, gallery, config, 1)
     }
 
-    /// Like [`RetrievalSystem::build`], but extracts gallery features on
-    /// `workers` scoped threads sharing one immutable backbone. Produces
+    /// Like [`RetrievalSystem::build`], but extracts gallery features in
+    /// `workers` chunks sharing one immutable backbone, the calling
+    /// thread running the first and a scoped thread each other one. Produces
     /// a system with *bit-identical* retrieval behaviour to the serial
     /// build — indexing a large gallery is the one embarrassingly
     /// parallel step of service construction.
@@ -360,6 +368,7 @@ impl RetrievalSystem {
             breakers: Mutex::new(Vec::new()),
             epoch: RwLock::new(0),
             mutation: Mutex::new(MutationStats::default()),
+            lanes: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
 
@@ -459,9 +468,10 @@ impl RetrievalSystem {
         Ok(self.backbone.extract(video)?)
     }
 
-    /// Extracts victim embeddings for a batch of queries, fanning the
-    /// per-item work over up to `workers` threads. Bit-identical to
-    /// calling [`RetrievalSystem::embed`] per item, in input order.
+    /// Extracts victim embeddings for a batch of queries, split into up
+    /// to `workers` chunks; the calling thread runs the first (see
+    /// [`Backbone::extract_batch`]). Bit-identical to calling
+    /// [`RetrievalSystem::embed`] per item, in input order.
     ///
     /// # Errors
     ///
@@ -749,11 +759,19 @@ impl RetrievalSystem {
 
     /// Retrieval under an explicit resilience policy.
     ///
+    /// Under [`RetrievalConfig::threaded`] the nodes split into
+    /// `min(nodes, cores)` contiguous lanes: the calling thread runs the
+    /// first lane and one scoped thread runs each other one, and the
+    /// reports are reassembled in node order. Inline, the calling thread
+    /// queries every node in turn.
+    ///
     /// Node panics are contained: a panicking shard counts as that node
     /// failing the query, never as a crashed retrieval. All retry,
     /// timeout, hedge, and breaker decisions compare injected *virtual*
-    /// latency against the policy — no wall clock — so results and
-    /// telemetry are bit-identical across threaded and inline fan-out.
+    /// latency against the policy — no wall clock — and breakers admit
+    /// and record in node order outside the fan-out, so results and
+    /// telemetry are bit-identical across inline fan-out and any lane
+    /// count.
     ///
     /// # Errors
     ///
@@ -771,7 +789,7 @@ impl RetrievalSystem {
         let snaps = &snaps;
 
         // Breaker admission runs sequentially in node order (never
-        // inside the fan-out threads), so breaker trajectories are
+        // inside the fan-out lanes), so breaker trajectories are
         // independent of thread interleavings.
         let admitted: Vec<bool> = match &policy.breaker {
             None => vec![true; total],
@@ -796,32 +814,13 @@ impl RetrievalSystem {
             }
         };
 
+        let run = |idx: usize| {
+            admitted[idx].then(|| query_node(&self.nodes[idx], &snaps[idx], idx, query, m, policy))
+        };
         let reports: Vec<Option<NodeReport>> = if self.config.threaded {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, node)| {
-                        let run = admitted[idx];
-                        scope.spawn(move || {
-                            run.then(|| query_node(node, &snaps[idx], idx, query, m, policy))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or(Some(NodeReport::panicked())))
-                    .collect()
-            })
+            fan_out_lanes(total, self.lanes, &admitted, run)
         } else {
-            self.nodes
-                .iter()
-                .enumerate()
-                .map(|(idx, node)| {
-                    admitted[idx].then(|| query_node(node, &snaps[idx], idx, query, m, policy))
-                })
-                .collect()
+            (0..total).map(run).collect()
         };
 
         // Breaker outcome recording, again sequential in node order.
@@ -887,6 +886,35 @@ impl RetrievalSystem {
         merged.truncate(m);
         Ok(Retrieved { ids: merged.into_iter().map(|s| s.id).collect(), coverage, telemetry, epoch })
     }
+}
+
+/// Runs `run` for node indices `0..total` on `min(total, lanes)` lanes
+/// and returns the reports in node order. Lane `i` holds nodes
+/// `i * total / lanes` up to `(i + 1) * total / lanes`: the sizes differ
+/// by at most one and lane 0 is never the larger, so the calling thread,
+/// which also pays the spawns, runs it. A lane whose thread dies marks
+/// every admitted node it held as panicked, as a node whose query panics
+/// is marked; a node its breaker skipped never ran.
+fn fan_out_lanes<F>(total: usize, lanes: usize, admitted: &[bool], run: F) -> Vec<Option<NodeReport>>
+where
+    F: Fn(usize) -> Option<NodeReport> + Sync,
+{
+    let lanes = lanes.clamp(1, total.max(1));
+    let nodes = |lane: usize| lane * total / lanes..(lane + 1) * total / lanes;
+    let run_lane = |lane: usize| nodes(lane).map(&run).collect::<Vec<_>>();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> =
+            (1..lanes).map(|lane| (lane, scope.spawn(move || run_lane(lane)))).collect();
+        let mut reports = run_lane(0);
+        for (lane, handle) in handles {
+            match handle.join() {
+                Ok(lane_reports) => reports.extend(lane_reports),
+                Err(_) => reports
+                    .extend(nodes(lane).map(|idx| admitted[idx].then(NodeReport::panicked))),
+            }
+        }
+        reports
+    })
 }
 
 #[cfg(test)]
@@ -1123,6 +1151,56 @@ mod tests {
         assert_eq!(a, b, "same seed + same mutations => identical lists, epochs, telemetry");
         let c = run(true);
         assert_eq!(a, c, "threaded fan-out changes nothing");
+    }
+
+    /// The lane count is set directly, so the split is exercised however
+    /// many cores the host has: one lane, uneven lanes, one node per
+    /// lane, and more lanes than nodes.
+    #[test]
+    fn every_lane_count_replays_the_inline_chaos_schedule() {
+        let ds = SyntheticDataset::subsampled(DatasetKind::Hmdb51Like, ClipSpec::tiny(), 5, 1, 1);
+        let in_scope = |id: &&VideoId| id.class < 20;
+        let gallery: Vec<VideoId> = ds.train().iter().filter(in_scope).copied().collect();
+        let probes: Vec<Video> = ds.test().iter().filter(in_scope).map(|&id| ds.video(id)).collect();
+        let replay = |lanes: Option<usize>| {
+            let mut rng = Rng64::new(136);
+            let backbone =
+                Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+            let config =
+                RetrievalConfig { m: 5, nodes: 5, threaded: lanes.is_some(), ..Default::default() };
+            let mut sys = RetrievalSystem::build(backbone, &ds, &gallery, config).unwrap();
+            if let Some(lanes) = lanes {
+                sys.lanes = lanes;
+            }
+            for (i, node) in sys.nodes().iter().enumerate() {
+                let plan = crate::FaultPlan::transient(0x1A4E ^ i as u64, 0.3)
+                    .with_latency(500, 400, 0.2, 9_000);
+                node.set_fault_plan(Some(if i == 2 { plan.with_flap(6, 14) } else { plan }));
+            }
+            sys.set_resilience(ResilienceConfig::hardened(0x1A4E5));
+            let mut trace = Vec::new();
+            for (i, probe) in probes.iter().chain(&probes).enumerate() {
+                // Halfway through, an insert publishes epoch 1.
+                if i == probes.len() {
+                    let planted = sys.embed(&probes[0]).unwrap();
+                    sys.insert(VideoId { class: 99, instance: 0 }, planted).unwrap();
+                }
+                trace.push(sys.retrieve_resilient(&sys.embed(probe).unwrap()).unwrap());
+            }
+            (trace, sys.breaker_states())
+        };
+        let inline = replay(None);
+        let sum = |count: fn(&QueryTelemetry) -> u64| {
+            inline.0.iter().map(|r| count(&r.telemetry)).sum::<u64>()
+        };
+        // The schedule must fire every mechanism the lanes could disturb.
+        assert!(sum(|t| t.transient_faults) > 0, "no transients");
+        assert!(sum(|t| t.hedges) > 0, "no hedges");
+        assert!(sum(|t| t.breaker_skips) > 0 && sum(|t| t.breaker_closes) > 0, "no breaker cycle");
+        assert_eq!(inline.0.last().map(|r| r.epoch), Some(1));
+        for lanes in [1, 2, 3, 5, 6] {
+            assert_eq!(replay(Some(lanes)), inline, "{lanes} lanes diverged from inline");
+        }
     }
 
     #[test]

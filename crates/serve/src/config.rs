@@ -42,9 +42,10 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Retrieval worker threads draining the batched work queue. It also
-    /// caps the scoped threads one batched backbone forward splits its
-    /// batch across (at most one per item and one per core); each forward
-    /// runs its kernels on its own thread.
+    /// caps the chunks one batched backbone forward splits its batch into
+    /// (at most one per item and one per core): the batcher thread runs
+    /// the first chunk and a scoped thread each other one, so a chunk's
+    /// kernels run on one thread.
     pub workers: usize,
     /// Maximum requests coalesced into one batched backbone forward.
     pub batch_max: usize,
