@@ -25,12 +25,29 @@
 //! replaced, so the rule trips if the 8-row kernel is quietly swapped
 //! out.
 //!
+//! The convolution weight gradient is timed the same way, at both
+//! scales, on C3D conv1 at experiment geometry (a [3, 16, 32, 32] clip,
+//! 3×3×3 kernel, stride (1, 2, 2), pad 1, 8 output channels: an
+//! 8 × 4096 output gradient against the 81 × 4096 lowering):
+//!
+//! * `wgrad_conv1/lowered` — `gemm_im2col3d_t`, each column-matrix row
+//!   lowered straight into the packed strips of the transposed operand;
+//! * `wgrad_conv1/materialized` — the path it replaced and the best
+//!   alternative that builds the matrix: `im2col3d`, `transpose`, then
+//!   `matmul_into`.
+//!
+//! Their outputs are asserted bit-identical before timing, and the rule
+//! `lowered <= F * materialized` sits between the two paths' ratios.
+//!
 //! Results land in `BENCH_gemm.json` at the repo root; `DUO_SCALE=smoke`
-//! shrinks the shapes for the verify gate and writes under
-//! `target/bench-smoke/` instead.
+//! shrinks the GEMM shapes for the verify gate and writes under
+//! `target/bench-smoke/` instead, and a name-filtered run writes under
+//! `target/bench-filtered/` (`Runner::artifact_path`).
 
 use duo_bench::Runner;
-use duo_tensor::{matmul_into, matmul_into_reference, Rng64, Tensor};
+use duo_tensor::{
+    gemm_im2col3d_t, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec, Rng64, Tensor,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -93,6 +110,8 @@ fn main() {
         });
     }
 
+    bench_conv1_weight_gradient(&mut runner);
+
     // Speedup vs the seed kernel, from the recorded trimmed means.
     let results = runner.results().to_vec();
     for (m, k, n) in sizes() {
@@ -112,8 +131,50 @@ fn main() {
         }
     }
 
-    let path = duo_bench::repo_root_bench_path("gemm");
+    let path = runner.artifact_path("gemm");
     duo_bench::write_bench_json(&path, &results).expect("write BENCH_gemm.json");
     println!("wrote {}", path.display());
     runner.finish();
+}
+
+/// C3D conv1's weight gradient `g · im2col3d(x)ᵀ`, lowered against
+/// materialized, sampled interleaved like the GEMM shapes.
+fn bench_conv1_weight_gradient(runner: &mut Runner) {
+    let spec = Conv3dSpec::cubic(3, 3, (1, 2, 2), 1);
+    let mut rng = Rng64::new(0xC3D1);
+    let x = Tensor::randn(&[3, 16, 32, 32], 1.0, rng.as_rng());
+    let g = Tensor::randn(&[8, 16 * 16 * 16], 1.0, rng.as_rng());
+    let materialized = |g: &Tensor, x: &Tensor, out: &mut Tensor| {
+        let cols_t = im2col3d(x, &spec).unwrap().transpose().unwrap();
+        matmul_into(g, &cols_t, out).unwrap();
+    };
+
+    let mut want = Tensor::full(&[8, 81], f32::NAN);
+    materialized(&g, &x, &mut want);
+    let mut out = Tensor::full(&[8, 81], f32::NAN);
+    gemm_im2col3d_t(&g, &x, &spec, &mut out).unwrap();
+    assert_eq!(bits(&want), bits(&out), "gemm/wgrad_conv1 lowered drifted from materialized");
+
+    let names = ["gemm/wgrad_conv1/lowered", "gemm/wgrad_conv1/materialized"];
+    let mut run = |entry: usize| {
+        let (g, x) = (black_box(&g), black_box(&x));
+        if entry == 0 {
+            gemm_im2col3d_t(g, x, &spec, &mut out).unwrap();
+        } else {
+            materialized(g, x, &mut out);
+        }
+        black_box(&mut out);
+    };
+    runner.bench_interleaved(&names, |entry| {
+        run(entry);
+        let start = Instant::now();
+        run(entry);
+        start.elapsed().as_secs_f64()
+    });
+    let stat = |name: &str| {
+        runner.results().iter().find(|r| r.name == name).map(|r| r.trimmed_mean_s)
+    };
+    if let (Some(lowered), Some(materialized)) = (stat(names[0]), stat(names[1])) {
+        println!("gemm/wgrad_conv1: lowered/materialized ratio {:.3}", lowered / materialized);
+    }
 }

@@ -274,7 +274,7 @@ fn main() {
 
     let mut results = runner.results().to_vec();
     results.extend(extra);
-    let path = duo_bench::repo_root_bench_path("index");
+    let path = runner.artifact_path("index");
     duo_bench::write_bench_json(&path, &results).expect("write BENCH_index.json");
     println!("wrote {}", path.display());
     runner.finish();

@@ -118,7 +118,7 @@ bench_group! {
 
 fn main() {
     let runner = benches();
-    let path = duo_bench::repo_root_bench_path("mutate");
+    let path = runner.artifact_path("mutate");
     duo_bench::write_bench_json(&path, runner.results()).expect("write BENCH_mutate.json");
     println!("wrote {}", path.display());
     runner.finish();

@@ -215,7 +215,7 @@ bench_group! {
 
 fn main() {
     let runner = benches();
-    let path = duo_bench::repo_root_bench_path("serve");
+    let path = runner.artifact_path("serve");
     duo_bench::write_bench_json(&path, runner.results()).expect("write BENCH_serve.json");
     println!("wrote {}", path.display());
     runner.finish();

@@ -185,6 +185,21 @@ impl Runner {
         }
     }
 
+    /// Where this run writes its `BENCH_<tag>.json`: the canonical
+    /// location ([`repo_root_bench_path`]) when every benchmark ran, or
+    /// `target/bench-filtered/` under a name filter. A filtered run
+    /// records only the entries it selected, and `bench_check` skips a
+    /// rule whose entries are all missing, so a filtered artifact in the
+    /// canonical place would silently pass the gate it replaced.
+    pub fn artifact_path(&self, tag: &str) -> std::path::PathBuf {
+        match self.filter {
+            None => repo_root_bench_path(tag),
+            Some(_) => std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+                .join("../../target/bench-filtered")
+                .join(format!("BENCH_{tag}.json")),
+        }
+    }
+
     /// Whether `name` passes the name filter.
     fn selected(&self, name: &str) -> bool {
         self.filter.as_ref().is_none_or(|f| name.contains(f.as_str()))
@@ -425,6 +440,16 @@ mod tests {
     fn repo_root_path_names_the_tagged_artifact() {
         let p = repo_root_bench_path("gemm");
         assert!(p.ends_with("BENCH_gemm.json"), "{}", p.display());
+    }
+
+    #[test]
+    fn a_filtered_run_never_writes_the_canonical_artifact() {
+        let full = Runner::default();
+        assert_eq!(full.artifact_path("gemm"), repo_root_bench_path("gemm"));
+        let filtered = Runner::default().filter("wgrad");
+        let path = filtered.artifact_path("gemm");
+        assert!(path.ends_with("target/bench-filtered/BENCH_gemm.json"), "{}", path.display());
+        assert_ne!(path, repo_root_bench_path("gemm"));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use duo_models::{Architecture, Backbone, BackboneConfig, TripletLoss};
 use duo_nn::{Adam, Optimizer, Parameterized};
 use duo_retrieval::QueryOracle;
 use duo_tensor::Rng64;
-use duo_video::{SyntheticDataset, VideoId};
-use std::collections::HashSet;
+use duo_video::{SyntheticDataset, Video, VideoId};
+use std::collections::{HashMap, HashSet};
 
 /// Configuration of the surrogate-stealing procedure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,6 +92,15 @@ duo_tensor::impl_to_json!(struct StealReport { distinct_videos, triplets_used, q
 /// retrieval results are expanded breadth-first for `rounds` levels, and a
 /// surrogate is trained on the harvested ranking triplets.
 ///
+/// Each distinct clip the call queries or trains on is generated once
+/// and kept until the call returns: the triplets reuse a few dozen ids
+/// many times over. Per triplet the anchor is embedded through the
+/// training forward, whose caches its backward then reuses, and the
+/// positive and negative through inference. When the loss is nonzero
+/// the anchor's backward runs at once, and the positive and negative
+/// each re-run their training forward right before their backward, so
+/// the gradients accumulate in the order anchor, positive, negative.
+///
 /// # Errors
 ///
 /// Returns [`AttackError::BadConfig`] for an empty probe pool and
@@ -107,6 +116,8 @@ pub fn steal_surrogate(
         return Err(AttackError::BadConfig("probe pool must not be empty".into()));
     }
     let queries_before = blackbox.queries_used();
+    // Every clip this call queries or trains on, generated once.
+    let mut clips: HashMap<VideoId, Video> = HashMap::new();
 
     // ---- Collection: Steps 1–3 of §IV-B1 -----------------------------
     let mut triplets: Vec<(VideoId, VideoId, VideoId)> = Vec::new();
@@ -123,7 +134,8 @@ pub fn steal_surrogate(
         let mut next_frontier = Vec::new();
         for &probe in &frontier {
             seen.insert((probe.class, probe.instance));
-            let list = blackbox.retrieve(&dataset.video(probe))?;
+            let list =
+                blackbox.retrieve(clips.entry(probe).or_insert_with(|| dataset.video(probe)))?;
             for id in &list {
                 seen.insert((id.class, id.instance));
             }
@@ -156,6 +168,11 @@ pub fn steal_surrogate(
         rng.shuffle(&mut triplets);
         triplets.truncate(config.max_triplets);
     }
+    for &(a, p, n) in &triplets {
+        for id in [a, p, n] {
+            clips.entry(id).or_insert_with(|| dataset.video(id));
+        }
+    }
     let mut surrogate = Backbone::new(config.arch, config.backbone, rng)?;
     let loss = TripletLoss::new();
     let mut optimizer = Adam::new(config.lr);
@@ -165,21 +182,21 @@ pub fn steal_surrogate(
         let mut epoch_loss = 0.0f32;
         let mut in_batch = 0usize;
         for &(a, p, n) in &triplets {
-            let va = dataset.video(a);
-            let vp = dataset.video(p);
-            let vn = dataset.video(n);
-            let ea = surrogate.extract(&va)?;
-            let ep = surrogate.extract(&vp)?;
-            let en = surrogate.extract(&vn)?;
+            let (va, vp, vn) = (&clips[&a], &clips[&p], &clips[&n]);
+            // The anchor's training forward is bit-identical to `extract`
+            // and leaves the caches its backward reads.
+            let ea = surrogate.extract_training(va)?;
+            let ep = surrogate.extract(vp)?;
+            let en = surrogate.extract(vn)?;
             let (l, ga, gp, gn) = loss.loss_and_grads(&ea, &ep, &en)?;
             epoch_loss += l;
             if l > 0.0 {
-                // Re-forward each leg so its cache is live for backward.
-                surrogate.extract_training(&va)?;
                 surrogate.backward_params(&ga)?;
-                surrogate.extract_training(&vp)?;
+                // Re-forward the other legs so each cache is live for
+                // its backward.
+                surrogate.extract_training(vp)?;
                 surrogate.backward_params(&gp)?;
-                surrogate.extract_training(&vn)?;
+                surrogate.extract_training(vn)?;
                 surrogate.backward_params(&gn)?;
             }
             in_batch += 1;
@@ -211,6 +228,7 @@ pub fn steal_surrogate(
 mod tests {
     use super::*;
     use duo_models::BackboneConfig;
+    use duo_nn::Grads;
     use duo_retrieval::{BlackBox, RetrievalConfig, RetrievalSystem};
     use duo_video::{ClipSpec, DatasetKind};
 
@@ -244,6 +262,112 @@ mod tests {
         // The surrogate must produce normalized features.
         let f = surrogate.extract(&ds.video(probes[0])).unwrap();
         assert!((f.l2_norm() - 1.0).abs() < 1e-4);
+    }
+
+    /// The stealing loop spelled out without its shortcuts: every clip
+    /// regenerated at each use, all three legs embedded by inference, each
+    /// leg's training forward re-run right before its backward, and every
+    /// backward a full one (input and parameter gradients).
+    fn reference_steal(
+        blackbox: &mut dyn QueryOracle,
+        dataset: &SyntheticDataset,
+        probe_pool: &[VideoId],
+        config: StealConfig,
+        rng: &mut Rng64,
+    ) -> Backbone {
+        let mut triplets = Vec::new();
+        let mut seen: HashSet<(u32, u32)> = HashSet::new();
+        let seeds = probe_pool.len().clamp(1, 8);
+        let mut frontier: Vec<VideoId> = rng
+            .sample_indices(probe_pool.len(), seeds)
+            .into_iter()
+            .map(|i| probe_pool[i])
+            .collect();
+        'collect: for _round in 0..config.rounds.max(1) {
+            let mut next_frontier = Vec::new();
+            for &probe in &frontier {
+                seen.insert((probe.class, probe.instance));
+                let list = blackbox.retrieve(&dataset.video(probe)).unwrap();
+                for id in &list {
+                    seen.insert((id.class, id.instance));
+                }
+                for i in 0..list.len() {
+                    for j in (i + 1)..list.len() {
+                        triplets.push((probe, list[i], list[j]));
+                    }
+                }
+                if !list.is_empty() {
+                    let m = config.fanout.min(list.len());
+                    for &idx in rng.sample_indices(list.len(), m).iter() {
+                        next_frontier.push(list[idx]);
+                    }
+                }
+                if seen.len() >= config.target_dataset_size {
+                    break 'collect;
+                }
+            }
+            if next_frontier.is_empty() {
+                break;
+            }
+            frontier = next_frontier;
+        }
+        if triplets.len() > config.max_triplets {
+            rng.shuffle(&mut triplets);
+            triplets.truncate(config.max_triplets);
+        }
+        let mut surrogate = Backbone::new(config.arch, config.backbone, rng).unwrap();
+        let loss = TripletLoss::new();
+        let mut optimizer = Adam::new(config.lr);
+        for _epoch in 0..config.epochs.max(1) {
+            rng.shuffle(&mut triplets);
+            let mut in_batch = 0usize;
+            for &(a, p, n) in &triplets {
+                let legs = [dataset.video(a), dataset.video(p), dataset.video(n)];
+                let ea = surrogate.extract(&legs[0]).unwrap();
+                let ep = surrogate.extract(&legs[1]).unwrap();
+                let en = surrogate.extract(&legs[2]).unwrap();
+                let (l, ga, gp, gn) = loss.loss_and_grads(&ea, &ep, &en).unwrap();
+                if l > 0.0 {
+                    for (leg, g) in legs.iter().zip([ga, gp, gn]) {
+                        surrogate.extract_training(leg).unwrap();
+                        surrogate.backward(&g, Grads::Both).unwrap();
+                    }
+                }
+                in_batch += 1;
+                if in_batch >= config.batch {
+                    optimizer.step(&mut surrogate);
+                    in_batch = 0;
+                }
+            }
+            if in_batch > 0 {
+                optimizer.step(&mut surrogate);
+            }
+        }
+        surrogate.zero_grad();
+        surrogate
+    }
+
+    /// Every parameter value and gradient, at `to_bits`.
+    fn param_bits(model: &mut Backbone) -> Vec<u32> {
+        let mut out = Vec::new();
+        model.visit_params(&mut |p| {
+            out.extend(p.value.as_slice().iter().chain(p.grad.as_slice()).map(|v| v.to_bits()));
+        });
+        out
+    }
+
+    #[test]
+    fn stolen_weights_are_bitwise_the_reference_loop() {
+        let (mut bb, ds) = setup();
+        let probes: Vec<_> = ds.test().iter().filter(|id| id.class < 10).copied().collect();
+        let (mut stolen, report) =
+            steal_surrogate(&mut bb, &ds, &probes, StealConfig::quick(), &mut Rng64::new(195))
+                .unwrap();
+        assert!(report.final_loss > 0.0, "some triplets must train");
+        let (mut bb, _) = setup();
+        let mut reference =
+            reference_steal(&mut bb, &ds, &probes, StealConfig::quick(), &mut Rng64::new(195));
+        assert_eq!(param_bits(&mut stolen), param_bits(&mut reference));
     }
 
     #[test]

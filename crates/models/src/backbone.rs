@@ -1,6 +1,6 @@
 use crate::{ModelError, MultiPath, Result};
 use duo_nn::{
-    AvgPool3d, Conv3d, Flatten, L2Normalize, Layer, Linear, MaxPool3d, Param,
+    AvgPool3d, Conv3d, Flatten, Grads, L2Normalize, Layer, Linear, MaxPool3d, Param,
     Parameterized, Relu, Residual, Sequential, TemporalStride,
 };
 use duo_tensor::{Conv3dSpec, Pool3dSpec, Rng64, Tensor};
@@ -370,12 +370,16 @@ impl Backbone {
 
     /// Extracts an embedding through the *training* forward pass, leaving
     /// per-layer caches in place for a subsequent
-    /// [`Backbone::input_gradient`] or [`Backbone::backward_params`].
+    /// [`Backbone::input_gradient`], [`Backbone::backward_params`] or
+    /// [`Backbone::backward`].
     ///
-    /// Produces bit-identical embeddings to [`Backbone::extract`] for the
-    /// deterministic layers used by the built-in architectures; the only
-    /// difference is the cached state (and dropout masking, for user nets
-    /// that include a training-mode [`duo_nn::Dropout`]).
+    /// Runs the same kernels as [`Backbone::extract`], so the embedding is
+    /// bit-identical to it for the deterministic layers used by the
+    /// built-in architectures; the only difference is the cached state
+    /// (and dropout masking, for user nets that include a training-mode
+    /// [`duo_nn::Dropout`]). A caller that needs an embedding *and* its
+    /// backward can take the embedding from this call instead of a
+    /// separate `extract`.
     ///
     /// # Errors
     ///
@@ -394,6 +398,23 @@ impl Backbone {
         Ok(self.net.forward(input)?)
     }
 
+    /// Backpropagates a feature-space gradient through the caches of the
+    /// last training forward, computing exactly the gradients `grads`
+    /// names: the gradient with respect to the `[C, T, H, W]` model input
+    /// is returned when [`Grads::input`] holds, and parameter gradients
+    /// are accumulated when [`Grads::params`] holds.
+    /// [`Backbone::input_gradient`] and [`Backbone::backward_params`] are
+    /// the two one-sided passes; [`Grads::Both`] computes both sides,
+    /// each bit-identical to its one-sided pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if no forward pass preceded this call or shapes
+    /// mismatch.
+    pub fn backward(&mut self, grad_feature: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
+        Ok(self.net.backward(grad_feature, grads)?)
+    }
+
     /// Gradient of a scalar loss with respect to the *video pixels*
     /// (`[N, H, W, C]` layout, including the 1/255 input scaling), given
     /// the loss gradient with respect to the embedding.
@@ -401,22 +422,24 @@ impl Backbone {
     /// Must be called immediately after [`Backbone::extract_training`] on
     /// the same video: the backward pass consumes the forward caches.
     ///
-    /// Parameter gradients accumulated by this call are discarded — the
-    /// attack differentiates the input, not the weights.
+    /// No parameter gradient is computed: every layer skips its weight
+    /// and bias accumulation ([`Grads::Input`]), so an attack leaves the
+    /// gradient state exactly as it found it.
     ///
     /// # Errors
     ///
     /// Returns an error if no forward pass preceded this call or shapes
     /// mismatch.
     pub fn input_gradient(&mut self, video: &Video, grad_feature: &Tensor) -> Result<Tensor> {
-        let grad_model = self.net.backward(grad_feature)?;
-        // Attacks must not leak gradient state into subsequent training.
-        self.net.zero_grad();
+        let grad_model =
+            self.backward(grad_feature, Grads::Input)?.expect("the input gradient was asked for");
         Ok(video.gradient_to_video_layout(&grad_model)?)
     }
 
     /// Backpropagates a feature-space gradient to accumulate *parameter*
-    /// gradients (training path). The input gradient is discarded.
+    /// gradients (training path). No pixel gradient is computed
+    /// ([`Grads::Params`]): the network's first layer (the first layer of
+    /// each branch, in a multi-path trunk) skips its input gradient.
     ///
     /// Must be called immediately after [`Backbone::extract_training`] on
     /// the same video.
@@ -425,7 +448,7 @@ impl Backbone {
     ///
     /// Returns an error if no forward pass preceded this call.
     pub fn backward_params(&mut self, grad_feature: &Tensor) -> Result<()> {
-        self.net.backward(grad_feature)?;
+        self.backward(grad_feature, Grads::Params)?;
         Ok(())
     }
 
@@ -542,6 +565,48 @@ mod tests {
             for item in &batched {
                 assert_eq!(bits(item), infer, "{arch}: infer_batch must be bit-identical");
             }
+        }
+    }
+
+    fn grad_bits(model: &mut Backbone) -> Vec<u32> {
+        let mut out = Vec::new();
+        model.visit_params(&mut |p| out.extend(p.grad.as_slice().iter().map(|v| v.to_bits())));
+        out
+    }
+
+    #[test]
+    fn one_sided_backward_passes_are_bitwise_the_full_backward() {
+        let video = tiny_video();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for arch in [
+            Architecture::I3d,
+            Architecture::Tpn,
+            Architecture::SlowFast,
+            Architecture::Resnet34,
+            Architecture::C3d,
+            Architecture::Resnet18,
+        ] {
+            let mut rng = Rng64::new(108);
+            let mut model = Backbone::new(arch, BackboneConfig::tiny(), &mut rng).unwrap();
+            let c = Tensor::randn(&[32], 1.0, rng.as_rng());
+            let zero = grad_bits(&mut model);
+            assert!(zero.iter().all(|&b| b == 0), "{arch}: a fresh model has zero gradients");
+
+            model.extract_training(&video).unwrap();
+            let full = model.backward(&c, Grads::Both).unwrap().expect("asked for the input gradient");
+            let full_pixels = bits(&video.gradient_to_video_layout(&full).unwrap());
+            let full_params = grad_bits(&mut model);
+            assert_ne!(full_params, zero, "{arch}: the full backward accumulates");
+            model.zero_grad();
+
+            model.extract_training(&video).unwrap();
+            let pixels = model.input_gradient(&video, &c).unwrap();
+            assert_eq!(bits(&pixels), full_pixels, "{arch}: input_gradient drifted");
+            assert_eq!(grad_bits(&mut model), zero, "{arch}: input_gradient accumulated");
+
+            model.extract_training(&video).unwrap();
+            model.backward_params(&c).unwrap();
+            assert_eq!(grad_bits(&mut model), full_params, "{arch}: backward_params drifted");
         }
     }
 

@@ -1,4 +1,4 @@
-use duo_nn::{Layer, NnError, Param, Parameterized, Result as NnResult, Sequential};
+use duo_nn::{Grads, Layer, NnError, Param, Parameterized, Result as NnResult, Sequential};
 use duo_tensor::Tensor;
 
 /// Runs several branches on the same input and concatenates their rank-1
@@ -123,7 +123,7 @@ impl Layer for MultiPath {
         Ok(fused_all)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> NnResult<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> NnResult<Option<Tensor>> {
         if !self.forwarded {
             return Err(NnError::MissingForwardCache { layer: "MultiPath" });
         }
@@ -141,13 +141,15 @@ impl Layer for MultiPath {
             let part = Tensor::from_vec(gv[off..off + len].to_vec(), &[len])
                 .expect("slice length matches shape by construction");
             off += len;
-            let gi = branch.backward(&part)?;
+            // Every branch sees the layer's input, so each is asked for
+            // exactly what the caller keeps.
+            let Some(gi) = branch.backward(&part, grads)? else { continue };
             grad_in = Some(match grad_in {
                 None => gi,
                 Some(acc) => acc.add(&gi)?,
             });
         }
-        Ok(grad_in.expect("at least one branch by construction"))
+        Ok(grad_in)
     }
 
     fn name(&self) -> &'static str {
@@ -207,7 +209,7 @@ mod tests {
         let mut mp = two_branch(&mut rng);
         let x = Tensor::ones(&[3]);
         mp.forward(&x).unwrap();
-        let g = mp.backward(&Tensor::ones(&[6])).unwrap();
+        let g = mp.backward(&Tensor::ones(&[6]), Grads::Both).unwrap().unwrap();
         assert_eq!(g.dims(), &[3]);
     }
 
@@ -232,7 +234,7 @@ mod tests {
     fn backward_before_forward_errors() {
         let mut rng = Rng64::new(95);
         let mut mp = two_branch(&mut rng);
-        assert!(mp.backward(&Tensor::ones(&[6])).is_err());
+        assert!(mp.backward(&Tensor::ones(&[6]), Grads::Both).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-use crate::{Layer, NnError, Param, Result};
+use crate::{Grads, Layer, NnError, Param, Result};
 use duo_tensor::{
-    col2im3d, gemm_im2col3d, im2col3d, matmul_into, Conv3dSpec, PackedA, Rng64, Tensor,
+    col2im3d, gemm_im2col3d, gemm_im2col3d_t, matmul_into, Conv3dSpec, PackedA, Rng64, Tensor,
 };
 
 /// 3-D convolution over `[C, T, H, W]` inputs.
@@ -9,14 +9,19 @@ use duo_tensor::{
 /// convolution, which is how the per-frame ResNet backbones in
 /// `duo-models` are expressed without a separate 2-D code path.
 ///
-/// Forward lowers to `W · im2col(x)`; backward uses the transpose of the
-/// same lowering (`col2im(Wᵀ · g)`), so the correctness of both reduces to
-/// the adjoint identity tested in `duo-tensor`. The training forward
-/// materializes the column matrix because backward reads it; inference
-/// ([`Layer::infer`], [`Layer::infer_batch`]) runs
-/// [`duo_tensor::gemm_im2col3d`], which lowers straight into the GEMM's
-/// packed operand and never builds the matrix. Both run the same float
-/// program, so their outputs are bit-identical.
+/// Forward is `W · im2col(x)` through one kernel,
+/// [`duo_tensor::gemm_im2col3d`], which lowers the input straight into
+/// the GEMM's packed operand and never builds the column matrix:
+/// [`Layer::infer`], [`Layer::infer_batch`] and the training
+/// [`Layer::forward`] all run it, so their outputs are bit-identical.
+/// The training forward caches only its input. Backward lowers that
+/// input again for the weight gradient `g · im2col(x)ᵀ`, straight into
+/// the packed operand of the transposed matrix
+/// ([`duo_tensor::gemm_im2col3d_t`]), and folds the input gradient
+/// `col2im(Wᵀ · g)` back with the run kernel of
+/// [`duo_tensor::col2im3d`]; each side runs only when its gradient is
+/// asked for ([`Grads`]). Correctness of both reduces to the adjoint
+/// identity tested in `duo-tensor`.
 pub struct Conv3d {
     weight: Param,
     bias: Param,
@@ -26,8 +31,7 @@ pub struct Conv3d {
 }
 
 struct ConvCache {
-    cols: Tensor,
-    in_dims: Vec<usize>,
+    input: Tensor,
     out_thw: (usize, usize, usize),
 }
 
@@ -88,19 +92,6 @@ impl Conv3d {
         Ok(Tensor::from_vec(ov, &[self.out_channels, out_thw.0, out_thw.1, out_thw.2])?)
     }
 
-    /// The training forward: materializes the column matrix, which it
-    /// returns with the output geometry so backward can use both.
-    fn run_forward(
-        &self,
-        input: &Tensor,
-    ) -> Result<(Tensor, Tensor, (usize, usize, usize))> {
-        let out_thw = self.out_thw(input)?;
-        let cols = im2col3d(input, &self.spec)?;
-        let mut out = Tensor::zeros(&[self.out_channels, cols.dims()[1]]);
-        matmul_into(&self.weight_matrix()?, &cols, &mut out)?;
-        Ok((self.finish(out, out_thw)?, cols, out_thw))
-    }
-
     /// The inference forward for one clip against a weight matrix packed
     /// once per call.
     fn run_infer(&self, packed_w: &PackedA, input: &Tensor) -> Result<Tensor> {
@@ -125,8 +116,9 @@ impl std::fmt::Debug for Conv3d {
 
 impl Layer for Conv3d {
     fn forward(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (out, cols, out_thw) = self.run_forward(input)?;
-        self.cache = Some(ConvCache { cols, in_dims: input.dims().to_vec(), out_thw });
+        let out = self.infer(input)?;
+        let out_thw = (out.dims()[1], out.dims()[2], out.dims()[3]);
+        self.cache = Some(ConvCache { input: input.clone(), out_thw });
         Ok(out)
     }
 
@@ -143,7 +135,7 @@ impl Layer for Conv3d {
         inputs.iter().map(|x| self.run_infer(&packed_w, x)).collect()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let cache = self.cache.as_ref().ok_or(NnError::MissingForwardCache { layer: "Conv3d" })?;
         let (ot, oh, ow) = cache.out_thw;
         let positions = ot * oh * ow;
@@ -160,23 +152,27 @@ impl Layer for Conv3d {
         let g = grad_out.reshape(&[self.out_channels, positions])?;
         let k = self.spec.in_channels * self.spec.kt * self.spec.kh * self.spec.kw;
 
-        // Parameter gradients: dW = g · colsᵀ, db = row sums of g.
-        let cols_t = cache.cols.transpose()?;
-        let mut wgrad = Tensor::zeros(&[self.out_channels, k]);
-        matmul_into(&g, &cols_t, &mut wgrad)?;
-        self.weight.grad.axpy(1.0, &wgrad.reshape(self.weight.value.dims())?)?;
-        let gv = g.as_slice();
-        let bg = self.bias.grad.as_mut_slice();
-        for o in 0..self.out_channels {
-            bg[o] += gv[o * positions..(o + 1) * positions].iter().sum::<f32>();
+        if grads.params() {
+            // dW = g · im2col(x)ᵀ, db = row sums of g.
+            let mut wgrad = Tensor::zeros(&[self.out_channels, k]);
+            gemm_im2col3d_t(&g, &cache.input, &self.spec, &mut wgrad)?;
+            self.weight.grad.axpy(1.0, &wgrad.reshape(self.weight.value.dims())?)?;
+            let gv = g.as_slice();
+            let bg = self.bias.grad.as_mut_slice();
+            for o in 0..self.out_channels {
+                bg[o] += gv[o * positions..(o + 1) * positions].iter().sum::<f32>();
+            }
+        }
+        if !grads.input() {
+            return Ok(None);
         }
 
         // Input gradient: col2im(Wᵀ · g).
         let wt = self.weight_matrix()?.transpose()?;
         let mut gcols = Tensor::zeros(&[k, positions]);
         matmul_into(&wt, &g, &mut gcols)?;
-        let (t, h, w) = (cache.in_dims[1], cache.in_dims[2], cache.in_dims[3]);
-        Ok(col2im3d(&gcols, &self.spec, t, h, w)?)
+        let dims = cache.input.dims();
+        Ok(Some(col2im3d(&gcols, &self.spec, dims[1], dims[2], dims[3])?))
     }
 
     fn name(&self) -> &'static str {
@@ -263,7 +259,7 @@ mod tests {
     fn backward_without_forward_errors() {
         let mut rng = Rng64::new(44);
         let mut conv = Conv3d::new(Conv3dSpec::cubic(1, 1, (1, 1, 1), 0), 1, &mut rng);
-        assert!(conv.backward(&Tensor::ones(&[1, 1, 1, 1])).is_err());
+        assert!(conv.backward(&Tensor::ones(&[1, 1, 1, 1]), Grads::Both).is_err());
     }
 
     #[test]
@@ -274,7 +270,7 @@ mod tests {
         let x = Tensor::randn(&[2, 3, 4, 4], 0.5, rng.as_rng());
         // Scalar loss: sum of outputs.
         let y = conv.forward(&x).unwrap();
-        let gx = conv.backward(&Tensor::ones(y.dims())).unwrap();
+        let gx = conv.backward(&Tensor::ones(y.dims()), Grads::Both).unwrap().unwrap();
         let eps = 1e-2;
         for &probe in &[0usize, 7, 31, 95] {
             let mut xp = x.clone();

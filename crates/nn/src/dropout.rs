@@ -5,7 +5,7 @@
 //! provided as a first-class layer. Uses "inverted" scaling (kept units
 //! multiplied by `1/(1−p)`) so evaluation mode is the identity.
 
-use crate::{Layer, NnError, Param, Parameterized, Result};
+use crate::{Grads, Layer, NnError, Param, Parameterized, Result};
 use duo_tensor::{Rng64, Tensor};
 
 /// Inverted dropout with an internal deterministic RNG.
@@ -70,7 +70,7 @@ impl Layer for Dropout {
         Ok(input.clone())
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let mask = self.mask.as_ref().ok_or(NnError::MissingForwardCache { layer: "Dropout" })?;
         if mask.len() != grad_out.len() {
             return Err(NnError::BadInput {
@@ -78,11 +78,14 @@ impl Layer for Dropout {
                 reason: format!("grad length {} != cached {}", grad_out.len(), mask.len()),
             });
         }
+        if !grads.input() {
+            return Ok(None);
+        }
         let mut g = grad_out.clone();
         for (x, &m) in g.as_mut_slice().iter_mut().zip(mask) {
             *x *= m;
         }
-        Ok(g)
+        Ok(Some(g))
     }
 
     fn name(&self) -> &'static str {
@@ -115,7 +118,7 @@ mod tests {
         d.set_training(false);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]).unwrap();
         assert_eq!(d.forward(&x).unwrap(), x);
-        assert_eq!(d.backward(&x).unwrap(), x);
+        assert_eq!(d.backward(&x, Grads::Both).unwrap().unwrap(), x);
     }
 
     #[test]
@@ -134,7 +137,7 @@ mod tests {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones(&[64]);
         let y = d.forward(&x).unwrap();
-        let g = d.backward(&Tensor::ones(&[64])).unwrap();
+        let g = d.backward(&Tensor::ones(&[64]), Grads::Both).unwrap().unwrap();
         for (a, b) in y.as_slice().iter().zip(g.as_slice()) {
             assert_eq!(a, b, "forward and backward masks must agree");
         }
@@ -143,7 +146,7 @@ mod tests {
     #[test]
     fn backward_before_forward_errors() {
         let mut d = Dropout::new(0.5, 4);
-        assert!(d.backward(&Tensor::ones(&[4])).is_err());
+        assert!(d.backward(&Tensor::ones(&[4]), Grads::Both).is_err());
     }
 
     #[test]

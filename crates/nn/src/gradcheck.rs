@@ -5,7 +5,7 @@
 //! would just make SparseTransfer quietly ineffective and invalidate the
 //! reproduction.
 
-use crate::{Layer, Result};
+use crate::{Grads, Layer, Result};
 use duo_tensor::Tensor;
 
 /// Numerically estimates `d(sum ∘ layer)/d(input)` by central differences.
@@ -42,7 +42,8 @@ pub fn numeric_input_gradient(
 pub fn check_input_gradient(layer: &mut dyn Layer, input: &Tensor, eps: f32) -> Result<f32> {
     let numeric = numeric_input_gradient(layer, input, eps)?;
     let out = layer.forward(input)?;
-    let analytic = layer.backward(&Tensor::ones(out.dims()))?;
+    let analytic =
+        layer.backward(&Tensor::ones(out.dims()), Grads::Both)?.expect("the input gradient was asked for");
     let mut worst = 0.0f32;
     for (&n, &a) in numeric.as_slice().iter().zip(analytic.as_slice()) {
         let rel = (n - a).abs() / (1.0f32).max(n.abs().max(a.abs()));

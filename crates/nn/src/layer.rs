@@ -40,14 +40,60 @@ macro_rules! param_free {
     };
 }
 
+/// Which gradients a [`Layer::backward`] pass computes: the caller names
+/// the ones it keeps, and every layer skips the work for the rest.
+///
+/// Whatever a pass computes is bit-identical to what [`Grads::Both`]
+/// computes: skipping the input gradient never changes a parameter
+/// gradient, and skipping parameter gradients never changes the input
+/// gradient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Grads {
+    /// The input gradient only; every [`Param::grad`] is left untouched
+    /// (an attack differentiating the pixels).
+    Input,
+    /// Parameter gradients only; no input gradient is computed
+    /// (training).
+    Params,
+    /// The input gradient and the parameter gradients.
+    Both,
+}
+
+impl Grads {
+    /// Whether the pass returns the input gradient.
+    pub fn input(self) -> bool {
+        self != Grads::Params
+    }
+
+    /// Whether the pass accumulates parameter gradients.
+    pub fn params(self) -> bool {
+        self != Grads::Input
+    }
+
+    /// What a container asks of a child whose input gradient it still
+    /// propagates: these gradients plus the input gradient.
+    pub(crate) fn with_input(self) -> Grads {
+        if self == Grads::Params {
+            Grads::Both
+        } else {
+            self
+        }
+    }
+}
+
 /// A differentiable computation node with explicit forward/backward passes.
 ///
 /// Layers are stateful on the *training* path: `forward` caches whatever
-/// the matching `backward` needs, and `backward` both *returns the input
-/// gradient* and *accumulates parameter gradients* into each
-/// [`Param::grad`]. This contract is what lets the attack crates
-/// differentiate a whole backbone down to video pixels (for
-/// SparseTransfer) with the same code path used for training.
+/// the matching `backward` needs, and `backward` computes the gradients
+/// its caller keeps ([`Grads`]): it *returns the input gradient* when
+/// asked for it and *accumulates parameter gradients* into each
+/// [`Param::grad`] when asked for those, skipping the work for the
+/// other. This contract is what lets the attack crates differentiate a
+/// whole backbone down to video pixels (for SparseTransfer) with the
+/// same code path used for training, without paying for weight
+/// gradients the attack throws away, and lets training skip the pixel
+/// gradient. A container asks each child for its input gradient except
+/// the first, which it asks for exactly what its own caller asked.
 ///
 /// The *inference* path is [`Layer::infer`]: the identical computation in
 /// evaluation mode, without touching any cache. Because it takes `&self`
@@ -91,14 +137,17 @@ pub trait Layer: Parameterized + Send + Sync {
         inputs.iter().map(|x| self.infer(x)).collect()
     }
 
-    /// Propagates `grad_out` back through the layer, returning the gradient
-    /// with respect to the input and accumulating parameter gradients.
+    /// Propagates `grad_out` back through the layer, computing the
+    /// gradients `grads` names: the gradient with respect to the input is
+    /// returned as `Some` exactly when [`Grads::input`] holds, and
+    /// parameter gradients are accumulated exactly when [`Grads::params`]
+    /// holds.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::MissingForwardCache`] if called before `forward`,
     /// or a shape error if `grad_out` does not match the cached output.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>>;
 
     /// Short human-readable layer name used in error messages.
     fn name(&self) -> &'static str;
@@ -117,6 +166,10 @@ impl Clone for Box<dyn Layer> {
         self.clone_box()
     }
 }
+
+/// The invariant a container relies on when it asks a child for its
+/// input gradient.
+const ASKED: &str = "a layer asked for its input gradient returns it";
 
 // ---------------------------------------------------------------------
 // Sequential
@@ -189,12 +242,17 @@ impl Layer for Sequential {
         Ok(batch)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
+        // Every layer but the first passes its input gradient on; the
+        // first computes only what the caller keeps.
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(grads.input().then(|| grad_out.clone()));
+        };
         let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g, grads.with_input())?.expect(ASKED);
         }
-        Ok(g)
+        first.backward(&g, grads)
     }
 
     fn name(&self) -> &'static str {
@@ -249,7 +307,7 @@ impl Layer for Relu {
         Ok(input.map(|x| x.max(0.0)))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let mask = self.mask.as_ref().ok_or(NnError::MissingForwardCache { layer: "Relu" })?;
         if mask.len() != grad_out.len() {
             return Err(NnError::BadInput {
@@ -257,13 +315,16 @@ impl Layer for Relu {
                 reason: format!("grad length {} != cached {}", grad_out.len(), mask.len()),
             });
         }
+        if !grads.input() {
+            return Ok(None);
+        }
         let mut g = grad_out.clone();
         for (x, &keep) in g.as_mut_slice().iter_mut().zip(mask) {
             if !keep {
                 *x = 0.0;
             }
         }
-        Ok(g)
+        Ok(Some(g))
     }
 
     fn name(&self) -> &'static str {
@@ -322,7 +383,7 @@ impl Layer for GlobalAvgPool {
         global_avg_pool(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let dims = self
             .in_dims
             .as_ref()
@@ -335,13 +396,16 @@ impl Layer for GlobalAvgPool {
                 reason: format!("grad length {} != channels {}", grad_out.len(), c),
             });
         }
+        if !grads.input() {
+            return Ok(None);
+        }
         let mut g = Tensor::zeros(dims);
         let gv = g.as_mut_slice();
         for ch in 0..c {
             let val = grad_out.as_slice()[ch] / per as f32;
             gv[ch * per..(ch + 1) * per].fill(val);
         }
-        Ok(g)
+        Ok(Some(g))
     }
 
     fn name(&self) -> &'static str {
@@ -392,16 +456,19 @@ impl Layer for L2Normalize {
         Ok(input.scale(1.0 / norm))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let (x, norm) = self
             .cache
             .as_ref()
             .ok_or(NnError::MissingForwardCache { layer: "L2Normalize" })?;
+        if !grads.input() {
+            return Ok(None);
+        }
         // d(x/‖x‖)/dx = I/‖x‖ − x xᵀ/‖x‖³
         let dot = x.dot(grad_out)?;
         let mut g = grad_out.scale(1.0 / norm);
         g.axpy(-dot / (norm * norm * norm), x)?;
-        Ok(g)
+        Ok(Some(g))
     }
 
     fn name(&self) -> &'static str {
@@ -497,16 +564,19 @@ impl Layer for Residual {
             .collect()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         if !self.forwarded {
             return Err(NnError::MissingForwardCache { layer: "Residual" });
         }
-        let g_main = self.main.backward(grad_out)?;
+        let g_main = self.main.backward(grad_out, grads)?;
         let g_skip = match &mut self.shortcut {
-            Some(s) => s.backward(grad_out)?,
-            None => grad_out.clone(),
+            Some(s) => s.backward(grad_out, grads)?,
+            None => grads.input().then(|| grad_out.clone()),
         };
-        Ok(g_main.add(&g_skip)?)
+        if !grads.input() {
+            return Ok(None);
+        }
+        Ok(Some(g_main.expect(ASKED).add(&g_skip.expect(ASKED))?))
     }
 
     fn name(&self) -> &'static str {
@@ -596,7 +666,7 @@ impl Layer for TemporalStride {
         temporal_subsample(input, self.stride)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let dims = self
             .in_dims
             .as_ref()
@@ -609,6 +679,9 @@ impl Layer for TemporalStride {
                 reason: format!("grad dims {:?} != expected [{c},{ot},{h},{w}]", grad_out.dims()),
             });
         }
+        if !grads.input() {
+            return Ok(None);
+        }
         let mut g = Tensor::zeros(dims);
         let gv = g.as_mut_slice();
         let ov = grad_out.as_slice();
@@ -620,7 +693,7 @@ impl Layer for TemporalStride {
                 gv[dst..dst + frame].copy_from_slice(&ov[src..src + frame]);
             }
         }
-        Ok(g)
+        Ok(Some(g))
     }
 
     fn name(&self) -> &'static str {
@@ -644,7 +717,7 @@ mod tests {
         let x = Tensor::from_vec(vec![-1.0, 2.0, -3.0, 4.0], &[4]).unwrap();
         let y = relu.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 2.0, 0.0, 4.0]);
-        let g = relu.backward(&Tensor::ones(&[4])).unwrap();
+        let g = relu.backward(&Tensor::ones(&[4]), Grads::Both).unwrap().unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0, 1.0]);
     }
 
@@ -652,7 +725,7 @@ mod tests {
     fn relu_backward_without_forward_errors() {
         let mut relu = Relu::new();
         assert!(matches!(
-            relu.backward(&Tensor::ones(&[1])),
+            relu.backward(&Tensor::ones(&[1]), Grads::Both),
             Err(NnError::MissingForwardCache { .. })
         ));
     }
@@ -663,7 +736,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 3.0, 10.0, 20.0], &[2, 2]).unwrap();
         let y = gap.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[2.0, 15.0]);
-        let g = gap.backward(&Tensor::from_vec(vec![2.0, 4.0], &[2]).unwrap()).unwrap();
+        let g = gap.backward(&Tensor::from_vec(vec![2.0, 4.0], &[2]).unwrap(), Grads::Both).unwrap().unwrap();
         assert_eq!(g.as_slice(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
@@ -683,7 +756,7 @@ mod tests {
         let mut l2 = L2Normalize::new();
         let x = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
         let y = l2.forward(&x).unwrap();
-        let g = l2.backward(&y).unwrap();
+        let g = l2.backward(&y, Grads::Both).unwrap().unwrap();
         assert!(g.l2_norm() < 1e-6, "gradient along the ray must vanish, got {g}");
     }
 
@@ -698,7 +771,7 @@ mod tests {
         let x = Tensor::ones(&[3]);
         let y = net.forward(&x).unwrap();
         assert_eq!(y.dims(), &[2]);
-        let gx = net.backward(&Tensor::ones(&[2])).unwrap();
+        let gx = net.backward(&Tensor::ones(&[2]), Grads::Both).unwrap().unwrap();
         assert_eq!(gx.dims(), &[3]);
         assert!(net.param_count() > 0);
     }
@@ -711,7 +784,7 @@ mod tests {
         let y = res.forward(&x).unwrap();
         // relu(-2) + (-2) = -2 ; relu(3) + 3 = 6
         assert_eq!(y.as_slice(), &[-2.0, 6.0]);
-        let g = res.backward(&Tensor::ones(&[2])).unwrap();
+        let g = res.backward(&Tensor::ones(&[2]), Grads::Both).unwrap().unwrap();
         // d/dx (relu(x)+x) = [0+1, 1+1]
         assert_eq!(g.as_slice(), &[1.0, 2.0]);
     }
@@ -723,17 +796,20 @@ mod tests {
         let y = ts.forward(&x).unwrap();
         assert_eq!(y.dims(), &[1, 2, 1, 2]);
         assert_eq!(y.as_slice(), &[0.0, 1.0, 4.0, 5.0]);
-        let g = ts.backward(&Tensor::ones(&[1, 2, 1, 2])).unwrap();
+        let g = ts.backward(&Tensor::ones(&[1, 2, 1, 2]), Grads::Both).unwrap().unwrap();
         assert_eq!(g.as_slice(), &[1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0]);
     }
 
-    /// A leaf that records how `zero_grad` reached it: through a
-    /// parameter visit (which would drop derived state such as the
-    /// `Linear` transpose) or through a direct call.
+    /// A leaf that records how `zero_grad` reached it (through a
+    /// parameter visit, which would drop derived state such as the
+    /// `Linear` transpose, or through a direct call) and which gradients
+    /// each backward asked it for.
     #[derive(Clone, Default)]
     struct Probe {
+        id: usize,
         visits: std::sync::Arc<std::sync::atomic::AtomicUsize>,
         zeroed: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        asked: std::sync::Arc<std::sync::Mutex<Vec<(usize, Grads)>>>,
     }
 
     impl Parameterized for Probe {
@@ -755,8 +831,9 @@ mod tests {
             Ok(input.clone())
         }
 
-        fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-            Ok(grad_out.clone())
+        fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
+            self.asked.lock().unwrap().push((self.id, grads));
+            Ok(grads.input().then(|| grad_out.clone()))
         }
 
         fn name(&self) -> &'static str {
@@ -787,12 +864,42 @@ mod tests {
     }
 
     #[test]
+    fn containers_ask_only_their_first_layer_for_what_the_caller_keeps() {
+        let probe = Probe::default();
+        let leaf = |id| Box::new(Probe { id, ..probe.clone() }) as Box<dyn Layer>;
+        let mut net = Sequential::new(vec![
+            Box::new(Residual::with_shortcut(
+                Sequential::new(vec![leaf(1), leaf(2)]),
+                Sequential::new(vec![leaf(3)]),
+            )),
+            leaf(4),
+        ]);
+        let x = Tensor::ones(&[2]);
+        for grads in [Grads::Input, Grads::Params, Grads::Both] {
+            net.forward(&x).unwrap();
+            probe.asked.lock().unwrap().clear();
+            let gx = net.backward(&x, grads).unwrap();
+            assert_eq!(gx.is_some(), grads.input(), "{grads:?}");
+            // Backward order: the last layer, then the residual's main
+            // path back to front, then its shortcut. Only the first
+            // layer of each path runs parameters-only.
+            let first = |id| (id, grads);
+            let passes = |id| (id, grads.with_input());
+            assert_eq!(
+                *probe.asked.lock().unwrap(),
+                [passes(4), passes(2), first(1), first(3)],
+                "{grads:?}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_grad_clears_all_params() {
         let mut rng = Rng64::new(2);
         let mut net = Sequential::new(vec![Box::new(Linear::new(2, 2, &mut rng)) as Box<dyn Layer>]);
         let x = Tensor::ones(&[2]);
         net.forward(&x).unwrap();
-        net.backward(&Tensor::ones(&[2])).unwrap();
+        net.backward(&Tensor::ones(&[2]), Grads::Both).unwrap();
         let mut nonzero = 0;
         net.visit_params(&mut |p| nonzero += p.grad.l0_norm());
         assert!(nonzero > 0);

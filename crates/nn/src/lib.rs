@@ -8,11 +8,14 @@
 //! losses). This crate provides exactly that via a [`Layer`] trait whose
 //! implementations carry explicit forward caches and hand-derived backward
 //! passes, each validated against finite differences by the test suite.
+//! A backward pass computes only the gradients its caller keeps
+//! ([`Grads`]): an attack asks for the input gradient alone, training
+//! for the parameter gradients alone.
 //!
 //! # Example
 //!
 //! ```
-//! use duo_nn::{Layer, Linear, Relu, Sequential};
+//! use duo_nn::{Grads, Layer, Linear, Relu, Sequential};
 //! use duo_tensor::{Rng64, Tensor};
 //!
 //! let mut rng = Rng64::new(0);
@@ -24,8 +27,8 @@
 //! let x = duo_tensor::Tensor::ones(&[4]);
 //! let y = net.forward(&x)?;
 //! assert_eq!(y.dims(), &[2]);
-//! let grad_x = net.backward(&duo_tensor::Tensor::ones(&[2]))?;
-//! assert_eq!(grad_x.dims(), &[4]);
+//! let grad_x = net.backward(&duo_tensor::Tensor::ones(&[2]), Grads::Input)?;
+//! assert_eq!(grad_x.map(|g| g.dims().to_vec()), Some(vec![4]));
 //! # Ok::<(), duo_nn::NnError>(())
 //! ```
 
@@ -48,7 +51,8 @@ pub use dropout::Dropout;
 pub use error::NnError;
 pub use gradcheck::{check_input_gradient, numeric_input_gradient};
 pub use layer::{
-    GlobalAvgPool, L2Normalize, Layer, Parameterized, Relu, Residual, Sequential, TemporalStride,
+    GlobalAvgPool, Grads, L2Normalize, Layer, Parameterized, Relu, Residual, Sequential,
+    TemporalStride,
 };
 pub use linear::{Flatten, Linear};
 pub use norm::InstanceNorm;

@@ -1,6 +1,6 @@
 use std::sync::OnceLock;
 
-use crate::{Layer, NnError, Param, Result};
+use crate::{Grads, Layer, NnError, Param, Result};
 use duo_tensor::{Rng64, Tensor};
 
 /// Outputs scored per pass over the input, one per SIMD lane.
@@ -20,8 +20,7 @@ const LANES: usize = 16;
 /// Every path that can rewrite the weight reaches it through
 /// [`crate::Parameterized::visit_params`] (optimizer steps, checkpoint
 /// imports), and a visit drops the copy. `zero_grad` touches gradients
-/// only, so it keeps the copy: the attack's backward loop zeroes
-/// gradients on every iteration.
+/// only, so it keeps the copy.
 pub struct Linear {
     weight: Param,
     bias: Param,
@@ -144,7 +143,7 @@ impl Layer for Linear {
         self.compute(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let x = self.cache.as_ref().ok_or(NnError::MissingForwardCache { layer: "Linear" })?;
         if grad_out.len() != self.out_features {
             return Err(NnError::BadInput {
@@ -153,16 +152,21 @@ impl Layer for Linear {
             });
         }
         let gv = grad_out.as_slice();
-        let xv = x.as_slice();
-        // dL/dW[o][i] += g[o] * x[i] ; dL/db[o] += g[o]
-        let wg = self.weight.grad.as_mut_slice();
-        for (o, &g) in gv.iter().enumerate() {
-            let row = &mut wg[o * self.in_features..(o + 1) * self.in_features];
-            for (wgi, &xi) in row.iter_mut().zip(xv) {
-                *wgi += g * xi;
+        if grads.params() {
+            // dL/dW[o][i] += g[o] * x[i] ; dL/db[o] += g[o]
+            let xv = x.as_slice();
+            let wg = self.weight.grad.as_mut_slice();
+            for (o, &g) in gv.iter().enumerate() {
+                let row = &mut wg[o * self.in_features..(o + 1) * self.in_features];
+                for (wgi, &xi) in row.iter_mut().zip(xv) {
+                    *wgi += g * xi;
+                }
             }
+            self.bias.grad.axpy(1.0, grad_out)?;
         }
-        self.bias.grad.axpy(1.0, grad_out)?;
+        if !grads.input() {
+            return Ok(None);
+        }
         // dL/dx[i] = Σ_o g[o] * W[o][i]
         let wv = self.weight.value.as_slice();
         let mut gx = Tensor::zeros(&[self.in_features]);
@@ -173,7 +177,7 @@ impl Layer for Linear {
                 *gxi += g * w;
             }
         }
-        Ok(gx)
+        Ok(Some(gx))
     }
 
     fn name(&self) -> &'static str {
@@ -233,10 +237,13 @@ impl Layer for Flatten {
         Ok(input.reshape(&[input.len()])?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let dims =
             self.in_dims.as_ref().ok_or(NnError::MissingForwardCache { layer: "Flatten" })?;
-        Ok(grad_out.reshape(dims)?)
+        if !grads.input() {
+            return Ok(None);
+        }
+        Ok(Some(grad_out.reshape(dims)?))
     }
 
     fn name(&self) -> &'static str {
@@ -301,7 +308,7 @@ mod tests {
         let mut lin = Linear::new(37, 20, &mut rng);
         let x = Tensor::randn(&[37], 1.0, rng.as_rng());
         lin.forward(&x).unwrap();
-        lin.backward(&Tensor::randn(&[20], 1.0, rng.as_rng())).unwrap();
+        lin.backward(&Tensor::randn(&[20], 1.0, rng.as_rng()), Grads::Both).unwrap();
         lin.infer(&x).unwrap();
         assert!(lin.weight_lanes.get().is_some(), "inference caches the transposed weight");
         (lin, x)
@@ -356,12 +363,12 @@ mod tests {
         lin.weight.value = Tensor::from_vec(vec![2.0, -1.0], &[1, 2]).unwrap();
         let x = Tensor::from_vec(vec![3.0, 5.0], &[2]).unwrap();
         lin.forward(&x).unwrap();
-        let gx = lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap()).unwrap();
+        let gx = lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap(), Grads::Both).unwrap().unwrap();
         assert_eq!(gx.as_slice(), &[4.0, -2.0]);
         assert_eq!(lin.weight.grad.as_slice(), &[6.0, 10.0]);
         assert_eq!(lin.bias.grad.as_slice(), &[2.0]);
         // Accumulation: a second backward doubles the gradients.
-        lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap()).unwrap();
+        lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap(), Grads::Both).unwrap();
         assert_eq!(lin.weight.grad.as_slice(), &[12.0, 20.0]);
     }
 
@@ -400,7 +407,7 @@ mod tests {
         let x = Tensor::ones(&[2, 3, 4]);
         let y = fl.forward(&x).unwrap();
         assert_eq!(y.dims(), &[24]);
-        let g = fl.backward(&Tensor::ones(&[24])).unwrap();
+        let g = fl.backward(&Tensor::ones(&[24]), Grads::Both).unwrap().unwrap();
         assert_eq!(g.dims(), &[2, 3, 4]);
     }
 }

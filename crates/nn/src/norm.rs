@@ -6,7 +6,7 @@
 //! equivalent that actually works, and it is available to downstream
 //! users building their own backbones on `duo-nn`.
 
-use crate::{Layer, NnError, Param, Parameterized, Result};
+use crate::{Grads, Layer, NnError, Param, Parameterized, Result};
 use duo_tensor::Tensor;
 
 /// Per-channel instance normalization with learned affine parameters.
@@ -127,7 +127,7 @@ impl Layer for InstanceNorm {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let cache =
             self.cache.as_ref().ok_or(NnError::MissingForwardCache { layer: "InstanceNorm" })?;
         if grad_out.dims() != cache.in_dims.as_slice() {
@@ -144,8 +144,7 @@ impl Layer for InstanceNorm {
         let gv = grad_out.as_slice();
         let xhat = cache.normalized.as_slice();
         let gamma = self.gamma.value.as_slice();
-        let mut grad_in = Tensor::zeros(&cache.in_dims);
-        let giv = grad_in.as_mut_slice();
+        let mut grad_in = grads.input().then(|| Tensor::zeros(&cache.in_dims));
         let ggrad = self.gamma.grad.as_mut_slice();
         let bgrad = self.beta.grad.as_mut_slice();
         for c in 0..self.channels {
@@ -153,8 +152,12 @@ impl Layer for InstanceNorm {
             let xh = &xhat[c * per..(c + 1) * per];
             let sum_g: f32 = g.iter().sum();
             let sum_gx: f32 = g.iter().zip(xh).map(|(a, b)| a * b).sum();
-            ggrad[c] += sum_gx;
-            bgrad[c] += sum_g;
+            if grads.params() {
+                ggrad[c] += sum_gx;
+                bgrad[c] += sum_g;
+            }
+            let Some(grad_in) = grad_in.as_mut() else { continue };
+            let giv = grad_in.as_mut_slice();
             let n = per as f32;
             let scale = gamma[c] * cache.inv_std[c];
             for i in 0..per {
@@ -232,7 +235,7 @@ mod tests {
         let mut layer = InstanceNorm::new(1);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 4]).unwrap();
         layer.forward(&x).unwrap();
-        layer.backward(&Tensor::ones(&[1, 4])).unwrap();
+        layer.backward(&Tensor::ones(&[1, 4]), Grads::Both).unwrap();
         assert_eq!(layer.beta.grad.as_slice(), &[4.0], "dβ = Σ g");
         // dγ = Σ g·x̂ = 0 for symmetric x̂ under constant g.
         assert!(layer.gamma.grad.as_slice()[0].abs() < 1e-5);
@@ -242,6 +245,6 @@ mod tests {
     fn rejects_wrong_channel_count_and_missing_forward() {
         let mut layer = InstanceNorm::new(3);
         assert!(layer.forward(&Tensor::ones(&[2, 4])).is_err());
-        assert!(layer.backward(&Tensor::ones(&[3, 4])).is_err());
+        assert!(layer.backward(&Tensor::ones(&[3, 4]), Grads::Both).is_err());
     }
 }

@@ -128,7 +128,7 @@ impl Optimizer for Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Layer, Linear, Sequential};
+    use crate::{Grads, Layer, Linear, Sequential};
     use duo_tensor::{Rng64, Tensor};
 
     /// Trains y = 2x on a 1-d linear model and checks convergence.
@@ -140,7 +140,7 @@ mod tests {
             let x = Tensor::from_vec(vec![1.0], &[1]).unwrap();
             let y = net.forward(&x).unwrap();
             let err = y.as_slice()[0] - 2.0;
-            net.backward(&Tensor::from_vec(vec![2.0 * err], &[1]).unwrap()).unwrap();
+            net.backward(&Tensor::from_vec(vec![2.0 * err], &[1]).unwrap(), Grads::Params).unwrap();
             opt.step(&mut net);
         }
         let y = net.forward(&Tensor::from_vec(vec![1.0], &[1]).unwrap()).unwrap();
@@ -165,7 +165,7 @@ mod tests {
         let mut net =
             Sequential::new(vec![Box::new(Linear::new(2, 2, &mut rng)) as Box<dyn crate::Layer>]);
         net.forward(&Tensor::ones(&[2])).unwrap();
-        net.backward(&Tensor::ones(&[2])).unwrap();
+        net.backward(&Tensor::ones(&[2]), Grads::Params).unwrap();
         let mut opt = Adam::new(0.001);
         opt.step(&mut net);
         let mut remaining = 0usize;

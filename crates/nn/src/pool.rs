@@ -1,4 +1,4 @@
-use crate::{Layer, NnError, Result};
+use crate::{Grads, Layer, NnError, Result};
 use duo_tensor::{avg_pool3d, avg_pool3d_backward, max_pool3d, max_pool3d_backward, Pool3dSpec, Tensor};
 
 /// Max-pooling layer over `[C, T, H, W]` inputs.
@@ -27,10 +27,13 @@ impl Layer for MaxPool3d {
         Ok(out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let (in_dims, argmax) =
             self.cache.as_ref().ok_or(NnError::MissingForwardCache { layer: "MaxPool3d" })?;
-        Ok(max_pool3d_backward(grad_out, argmax, in_dims)?)
+        if !grads.input() {
+            return Ok(None);
+        }
+        Ok(Some(max_pool3d_backward(grad_out, argmax, in_dims)?))
     }
 
     fn name(&self) -> &'static str {
@@ -67,10 +70,13 @@ impl Layer for AvgPool3d {
         Ok(avg_pool3d(input, &self.spec)?)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
         let in_dims =
             self.in_dims.as_ref().ok_or(NnError::MissingForwardCache { layer: "AvgPool3d" })?;
-        Ok(avg_pool3d_backward(grad_out, &self.spec, in_dims)?)
+        if !grads.input() {
+            return Ok(None);
+        }
+        Ok(Some(avg_pool3d_backward(grad_out, &self.spec, in_dims)?))
     }
 
     fn name(&self) -> &'static str {
@@ -93,7 +99,7 @@ mod tests {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[1, 1, 2, 2]).unwrap();
         let y = layer.forward(&x).unwrap();
         assert_eq!(y.as_slice(), &[4.0]);
-        let g = layer.backward(&Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]).unwrap()).unwrap();
+        let g = layer.backward(&Tensor::from_vec(vec![10.0], &[1, 1, 1, 1]).unwrap(), Grads::Both).unwrap().unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 0.0, 10.0]);
     }
 
@@ -102,16 +108,16 @@ mod tests {
         let mut layer = AvgPool3d::new(Pool3dSpec::spatial(2));
         let x = Tensor::ones(&[1, 1, 2, 2]);
         layer.forward(&x).unwrap();
-        let g = layer.backward(&Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]).unwrap()).unwrap();
+        let g = layer.backward(&Tensor::from_vec(vec![8.0], &[1, 1, 1, 1]).unwrap(), Grads::Both).unwrap().unwrap();
         assert_eq!(g.as_slice(), &[2.0, 2.0, 2.0, 2.0]);
     }
 
     #[test]
     fn backward_before_forward_errors() {
         let mut mp = MaxPool3d::new(Pool3dSpec::cubic(2));
-        assert!(mp.backward(&Tensor::ones(&[1, 1, 1, 1])).is_err());
+        assert!(mp.backward(&Tensor::ones(&[1, 1, 1, 1]), Grads::Both).is_err());
         let mut ap = AvgPool3d::new(Pool3dSpec::cubic(2));
-        assert!(ap.backward(&Tensor::ones(&[1, 1, 1, 1])).is_err());
+        assert!(ap.backward(&Tensor::ones(&[1, 1, 1, 1]), Grads::Both).is_err());
     }
 
     #[test]

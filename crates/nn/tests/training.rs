@@ -2,7 +2,7 @@
 //! composes into a network that actually learns.
 
 use duo_nn::{
-    Adam, Conv3d, Dropout, Flatten, InstanceNorm, L2Normalize, Layer, Linear, MaxPool3d,
+    Adam, Conv3d, Dropout, Flatten, Grads, InstanceNorm, L2Normalize, Layer, Linear, MaxPool3d,
     Optimizer, Relu, Residual, Sequential, Sgd,
 };
 use duo_tensor::{Conv3dSpec, Pool3dSpec, Rng64, Tensor};
@@ -65,7 +65,7 @@ fn train_and_eval(opt: &mut dyn Optimizer, with_extras: bool, seed: u64) -> f32 
             let (x, label) = make_sample(class, &mut rng);
             let logits = net.forward(&x).unwrap();
             let (_, grad) = ce_loss(&logits, label);
-            net.backward(&grad).unwrap();
+            net.backward(&grad, Grads::Params).unwrap();
         }
         opt.step(&mut net);
     }
@@ -127,7 +127,7 @@ fn normalize_head_trains_metrically() {
         let emb = net.forward(&x).unwrap();
         last_cos = emb.dot(&anchor_dir).unwrap();
         // Maximize cosine to the anchor: gradient = −anchor.
-        net.backward(&anchor_dir.scale(-1.0)).unwrap();
+        net.backward(&anchor_dir.scale(-1.0), Grads::Params).unwrap();
         opt.step(&mut net);
     }
     assert!(last_cos > 0.8, "embedding should align with the anchor, cos {last_cos}");

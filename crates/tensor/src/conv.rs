@@ -9,10 +9,14 @@
 //! built that way.
 //!
 //! The lowering is one run kernel ([`im2col3d_row`]) that writes one row
-//! of the column matrix at a time. [`im2col3d`] materializes the whole
-//! matrix for the training path, whose backward pass needs it;
-//! [`crate::gemm_im2col3d`] streams the same rows straight into the
-//! GEMM's packed B strips and never builds the matrix at all.
+//! of the column matrix at a time, and its adjoint ([`col2im3d_row`])
+//! folds one row back. Nothing on the model path materializes the
+//! matrix: [`crate::gemm_im2col3d`] (the convolution forward) streams
+//! the rows straight into the GEMM's packed B strips, and
+//! [`crate::gemm_im2col3d_t`] (the weight gradient) streams them into
+//! the strips of the transposed operand. [`im2col3d`] still builds the
+//! whole matrix, as the reference the tests and benches compare those
+//! two against.
 
 use crate::{Tensor, TensorError};
 
@@ -131,8 +135,13 @@ impl ColGeom {
                 op: "im2col3d(channels)",
             });
         }
+        ColGeom::for_extent(spec, t, h, w)
+    }
+
+    /// The lowering's shape for a `[spec.in_channels, t, h, w]` input.
+    fn for_extent(spec: &Conv3dSpec, t: usize, h: usize, w: usize) -> Result<ColGeom, TensorError> {
         let (ot, oh, ow) = spec.output_thw(t, h, w)?;
-        let rows = c * spec.kt * spec.kh * spec.kw;
+        let rows = spec.in_channels * spec.kt * spec.kh * spec.kw;
         Ok(ColGeom { t, h, w, oh, ow, rows, cols: ot * oh * ow })
     }
 }
@@ -195,8 +204,59 @@ pub(crate) fn im2col3d_row(
     }
 }
 
+/// Folds row `row` of a column-gradient matrix (`src`, `g.cols` long)
+/// into the `[C, T, H, W]` input gradient `ov`: the adjoint of
+/// [`im2col3d_row`].
+///
+/// The valid `ox` run is computed once per row, as in the lowering, and
+/// each output row `(oz, oy)` adds its interior to one strided run of a
+/// single input row; padding taps fold nowhere. For a fixed tap,
+/// distinct positions hit distinct input cells, so visiting the rows in
+/// order gives every cell its terms in the per-element fold's order.
+fn col2im3d_row(src: &[f32], spec: &Conv3dSpec, g: &ColGeom, row: usize, ov: &mut [f32]) {
+    // The tap and its run, exactly as `im2col3d_row` derives them.
+    let kx = row % spec.kw;
+    let rest = row / spec.kw;
+    let ky = rest % spec.kh;
+    let rest = rest / spec.kh;
+    let kz = rest % spec.kt;
+    let ch = rest / spec.kt;
+    let lo = if kx >= spec.pw { 0 } else { (spec.pw - kx).div_ceil(spec.sw) }.min(g.ow);
+    let hi = if kx >= g.w + spec.pw { 0 } else { (g.w + spec.pw - kx - 1) / spec.sw + 1 };
+    let hi = hi.clamp(lo, g.ow);
+    let x0 = (lo * spec.sw + kx).saturating_sub(spec.pw);
+    if lo == hi {
+        return;
+    }
+    for (oz, plane) in src.chunks_exact(g.oh * g.ow).enumerate() {
+        let Some(z) = (oz * spec.st + kz).checked_sub(spec.pt).filter(|&z| z < g.t) else {
+            continue;
+        };
+        for (oy, out) in plane.chunks_exact(g.ow).enumerate() {
+            let Some(y) = (oy * spec.sh + ky).checked_sub(spec.ph).filter(|&y| y < g.h) else {
+                continue;
+            };
+            let dst = &mut ov[((ch * g.t + z) * g.h + y) * g.w + x0..][..g.w - x0];
+            let run = &out[lo..hi];
+            if spec.sw == 1 {
+                for (d, &s) in dst.iter_mut().zip(run) {
+                    *d += s;
+                }
+            } else {
+                for (d, &s) in dst.chunks_mut(spec.sw).zip(run) {
+                    d[0] += s;
+                }
+            }
+        }
+    }
+}
+
 /// Folds a `[C·kt·kh·kw, out_t·out_h·out_w]` gradient matrix back onto a
 /// `[C, T, H, W]` input gradient (scatter-add; the adjoint of [`im2col3d`]).
+///
+/// Each row is folded by one run kernel pass, rows in order; the output
+/// is bit-identical to the per-element fold (the `#[cfg(test)]` oracle
+/// below).
 ///
 /// # Errors
 ///
@@ -208,48 +268,18 @@ pub fn col2im3d(
     h: usize,
     w: usize,
 ) -> Result<Tensor, TensorError> {
-    let (ot, oh, ow) = spec.output_thw(t, h, w)?;
-    let c = spec.in_channels;
-    let rows = c * spec.kt * spec.kh * spec.kw;
-    let ncols = ot * oh * ow;
-    if cols.dims() != [rows, ncols] {
+    let g = ColGeom::for_extent(spec, t, h, w)?;
+    if cols.dims() != [g.rows, g.cols] {
         return Err(TensorError::ShapeMismatch {
             lhs: cols.dims().to_vec(),
-            rhs: vec![rows, ncols],
+            rhs: vec![g.rows, g.cols],
             op: "col2im3d",
         });
     }
-    let mut out = Tensor::zeros(&[c, t, h, w]);
-    let cv = cols.as_slice();
+    let mut out = Tensor::zeros(&[spec.in_channels, t, h, w]);
     let ov = out.as_mut_slice();
-    for ch in 0..c {
-        for kz in 0..spec.kt {
-            for ky in 0..spec.kh {
-                for kx in 0..spec.kw {
-                    let row = ((ch * spec.kt + kz) * spec.kh + ky) * spec.kw + kx;
-                    for oz in 0..ot {
-                        let z = (oz * spec.st + kz) as isize - spec.pt as isize;
-                        if z < 0 || z as usize >= t {
-                            continue;
-                        }
-                        for oy in 0..oh {
-                            let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
-                            if y < 0 || y as usize >= h {
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
-                                if x < 0 || x as usize >= w {
-                                    continue;
-                                }
-                                ov[((ch * t + z as usize) * h + y as usize) * w + x as usize] +=
-                                    cv[row * ncols + (oz * oh + oy) * ow + ox];
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    for (row, src) in cols.as_slice().chunks_exact(g.cols).enumerate() {
+        col2im3d_row(src, spec, &g, row, ov);
     }
     Ok(out)
 }
@@ -296,17 +326,91 @@ mod tests {
         out
     }
 
+    /// The per-element fold the run kernel replaced: every element
+    /// re-derives its input index and bounds-checks it in `isize`, rows
+    /// in order. Kept as the oracle `col2im3d` must match bit for bit.
+    fn col2im3d_oracle(cols: &Tensor, spec: &Conv3dSpec, t: usize, h: usize, w: usize) -> Tensor {
+        let (ot, oh, ow) = spec.output_thw(t, h, w).unwrap();
+        let c = spec.in_channels;
+        let ncols = ot * oh * ow;
+        let mut out = Tensor::zeros(&[c, t, h, w]);
+        let cv = cols.as_slice();
+        let ov = out.as_mut_slice();
+        for ch in 0..c {
+            for kz in 0..spec.kt {
+                for ky in 0..spec.kh {
+                    for kx in 0..spec.kw {
+                        let row = ((ch * spec.kt + kz) * spec.kh + ky) * spec.kw + kx;
+                        for oz in 0..ot {
+                            let z = (oz * spec.st + kz) as isize - spec.pt as isize;
+                            if z < 0 || z as usize >= t {
+                                continue;
+                            }
+                            for oy in 0..oh {
+                                let y = (oy * spec.sh + ky) as isize - spec.ph as isize;
+                                if y < 0 || y as usize >= h {
+                                    continue;
+                                }
+                                for ox in 0..ow {
+                                    let x = (ox * spec.sw + kx) as isize - spec.pw as isize;
+                                    if x < 0 || x as usize >= w {
+                                        continue;
+                                    }
+                                    ov[((ch * t + z as usize) * h + y as usize) * w + x as usize] +=
+                                        cv[row * ncols + (oz * oh + oy) * ow + ox];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    type Dims = (usize, usize, usize);
+
+    /// The geometry and input of one case of the sweep both run-kernel
+    /// properties share: strides 1–3, pads 0–3 (pad ≥ kernel included),
+    /// kernels 1–4 (stride > kernel included), `kt = 1`, and output
+    /// widths down to 1. Returns the rng for any further draws.
+    fn sweep_case(
+        (chans, seed): (usize, u64),
+        thw: Dims,
+        k: Dims,
+        s: Dims,
+        p: Dims,
+    ) -> (Conv3dSpec, Tensor, Rng64) {
+        let spec = Conv3dSpec {
+            in_channels: chans,
+            kt: k.0,
+            kh: k.1,
+            kw: k.2,
+            st: s.0,
+            sh: s.1,
+            sw: s.2,
+            pt: p.0,
+            ph: p.1,
+            pw: p.2,
+        };
+        // Grow any extent the padded kernel would not fit.
+        let t = thw.0.max(k.0.saturating_sub(2 * p.0));
+        let h = thw.1.max(k.1.saturating_sub(2 * p.1));
+        let w = thw.2.max(k.2.saturating_sub(2 * p.2));
+        let mut rng = Rng64::new(seed);
+        let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
+        (spec, input, rng)
     }
 
     check! {
         #![config(Config::default().with_cases(192))]
 
-        /// Strides 1–3, pads 0–3 (pad ≥ kernel included), kernels 1–4
-        /// (stride > kernel included), `kt = 1`, and output widths down
-        /// to 1: the run kernel's zero-fill and copy bounds must land on
-        /// the oracle's bits everywhere.
+        /// The run kernel's zero-fill and copy bounds must land on the
+        /// oracle's bits everywhere in the sweep.
         fn run_im2col_is_bitwise_per_element_oracle(
             cs in (1usize..4, 0u64..0x1000_0000),
             thw in (1usize..10, 1usize..10, 1usize..12),
@@ -314,29 +418,32 @@ mod tests {
             s in (1usize..4, 1usize..4, 1usize..4),
             p in (0usize..4, 0usize..4, 0usize..4),
         ) {
-            let (chans, seed) = cs;
-            let spec = Conv3dSpec {
-                in_channels: chans,
-                kt: k.0,
-                kh: k.1,
-                kw: k.2,
-                st: s.0,
-                sh: s.1,
-                sw: s.2,
-                pt: p.0,
-                ph: p.1,
-                pw: p.2,
-            };
-            // Grow any extent the padded kernel would not fit.
-            let t = thw.0.max(k.0.saturating_sub(2 * p.0));
-            let h = thw.1.max(k.1.saturating_sub(2 * p.1));
-            let w = thw.2.max(k.2.saturating_sub(2 * p.2));
-            let mut rng = Rng64::new(seed);
-            let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
+            let (spec, input, _) = sweep_case(cs, thw, k, s, p);
             prop_assert_eq!(
                 bits(&im2col3d(&input, &spec).unwrap()),
                 bits(&im2col3d_oracle(&input, &spec)),
-                "[{chans},{t},{h},{w}] {spec:?}"
+                "{:?} {spec:?}", input.dims()
+            );
+        }
+
+        /// The same sweep for the fold: a random column gradient folded
+        /// by the run kernel must equal the per-element fold bit for bit,
+        /// so each input cell takes its terms in the same order.
+        fn run_col2im_is_bitwise_per_element_oracle(
+            cs in (1usize..4, 0u64..0x1000_0000),
+            thw in (1usize..10, 1usize..10, 1usize..12),
+            k in (1usize..5, 1usize..5, 1usize..5),
+            s in (1usize..4, 1usize..4, 1usize..4),
+            p in (0usize..4, 0usize..4, 0usize..4),
+        ) {
+            let (spec, input, mut rng) = sweep_case(cs, thw, k, s, p);
+            let (t, h, w) = (input.dims()[1], input.dims()[2], input.dims()[3]);
+            let g = ColGeom::new(&input, &spec).unwrap();
+            let cols = Tensor::randn(&[g.rows, g.cols], 1.0, rng.as_rng());
+            prop_assert_eq!(
+                bits(&col2im3d(&cols, &spec, t, h, w).unwrap()),
+                bits(&col2im3d_oracle(&cols, &spec, t, h, w)),
+                "{:?} {spec:?}", input.dims()
             );
         }
     }

@@ -12,7 +12,10 @@
 //! than 8 at the bottom) run the 4-row/1-row tail kernels.
 //! [`gemm_im2col3d`] is the convolution forward: it lowers its input row
 //! by row straight into the packed B strips, so the im2col matrix is
-//! never materialized. [`matmul_into_reference`] is the oracle.
+//! never materialized. [`gemm_im2col3d_t`] is the convolution weight
+//! gradient: it lowers the rows into the strips of the *transposed*
+//! matrix, so neither the matrix nor its transpose is built.
+//! [`matmul_into_reference`] is the oracle.
 //!
 //! # Determinism contract
 //!
@@ -266,6 +269,73 @@ fn pack_b_im2col3d(input: &Tensor, spec: &Conv3dSpec, g: &ColGeom) -> PackedB {
     PackedB { data }
 }
 
+/// Packs `im2col3d(input, spec)ᵀ` — `[positions × rows]` — as the right
+/// GEMM operand without materializing the matrix or its transpose.
+///
+/// Column `j` of the operand is column-matrix row `j`, so strip `s`
+/// holds rows `[s·NR2, s·NR2 + w)`, and depth step `p` of the strip is
+/// position `p` of each of those rows, side by side. Strip by strip, up
+/// to [`MR8`] of its rows are lowered at a time into row buffers (the
+/// tail of the same workspace buffer), then interleaved into the strip.
+/// Every row is lowered once, by the forward's run kernel, and the
+/// strips are exactly what [`pack_b_slice`] would build from the
+/// materialized transpose.
+fn pack_bt_im2col3d(input: &Tensor, spec: &Conv3dSpec, g: &ColGeom) -> PackedB {
+    let (k, n) = (g.cols, g.rows);
+    let mut data = workspace::take(k * n + MR8 * k);
+    let (strips, rows) = data.split_at_mut(k * n);
+    let iv = input.as_slice();
+    let mut js = 0;
+    while js < n {
+        let w = NR2.min(n - js);
+        let strip = &mut strips[js * k..(js + w) * k];
+        let mut j0 = 0;
+        while j0 < w {
+            let group = MR8.min(w - j0);
+            let rows = &mut rows[..group * k];
+            for (r, row) in rows.chunks_exact_mut(k).enumerate() {
+                im2col3d_row(iv, spec, g, js + j0 + r, row);
+            }
+            if group == MR8 {
+                interleave_8(rows, strip, w, j0);
+            } else {
+                for (p, dst) in strip.chunks_exact_mut(w).enumerate() {
+                    for (r, d) in dst[j0..j0 + group].iter_mut().enumerate() {
+                        *d = rows[r * k + p];
+                    }
+                }
+            }
+            j0 += group;
+        }
+        js += w;
+    }
+    PackedB { data }
+}
+
+/// Interleaves 8 equal-length rows into columns `j0..j0 + 8` of `w`-wide
+/// depth steps: `steps[p·w + j0 + r] = rows[r][p]`.
+fn interleave_8(rows: &[f32], steps: &mut [f32], w: usize, j0: usize) {
+    let len = rows.len() / MR8;
+    let (r0, rest) = rows.split_at(len);
+    let (r1, rest) = rest.split_at(len);
+    let (r2, rest) = rest.split_at(len);
+    let (r3, rest) = rest.split_at(len);
+    let (r4, rest) = rest.split_at(len);
+    let (r5, rest) = rest.split_at(len);
+    let (r6, r7) = rest.split_at(len);
+    for (p, dst) in steps.chunks_exact_mut(w).enumerate() {
+        let d = &mut dst[j0..j0 + MR8];
+        d[0] = r0[p];
+        d[1] = r1[p];
+        d[2] = r2[p];
+        d[3] = r3[p];
+        d[4] = r4[p];
+        d[5] = r5[p];
+        d[6] = r6[p];
+        d[7] = r7[p];
+    }
+}
+
 /// Scatters consecutive rows `p0..` of a `[k × n]` right operand (`rows`,
 /// row-major, a whole number of rows) into the [`PackedB`] strip layout.
 fn scatter_b_rows(data: &mut [f32], k: usize, n: usize, p0: usize, rows: &[f32]) {
@@ -338,6 +408,54 @@ pub fn gemm_im2col3d(
     let g = validate_im2col3d(pa, input, spec, out)?;
     let pb = pack_b_im2col3d(input, spec, &g);
     gemm_packed_stripe(&pa.data, pa.rows, pa.k, &pb.data, g.cols, out.as_mut_slice());
+    workspace::give(pb.data);
+    Ok(())
+}
+
+/// Convolution weight gradient as one GEMM: `out = a ·
+/// im2col3d(input, spec)ᵀ`, with `a` the `[out_c, positions]` output
+/// gradient and `out` the `[out_c, C·kt·kh·kw]` weight gradient.
+///
+/// Neither the column matrix nor its transpose is materialized: each
+/// column-matrix row is lowered once and interleaved straight into the
+/// packed B strips of the transposed operand, strip by strip, in a
+/// buffer from the workspace bin. The result is bit-identical to
+/// `matmul_into(a, &im2col3d(input, spec)?.transpose()?, out)`: the
+/// strips hold the same bytes, and the same kernels run over them.
+///
+/// # Errors
+///
+/// Returns the lowering's rank/shape/geometry errors, and
+/// [`TensorError::ShapeMismatch`] if `a` is not `[m, positions]` or
+/// `out` is not `[m, C·kt·kh·kw]`.
+pub fn gemm_im2col3d_t(
+    a: &Tensor,
+    input: &Tensor,
+    spec: &Conv3dSpec,
+    out: &mut Tensor,
+) -> Result<(), TensorError> {
+    let g = ColGeom::new(input, spec)?;
+    if a.rank() != 2 {
+        return Err(TensorError::RankMismatch { expected: 2, actual: a.rank(), op: "gemm_im2col3d_t" });
+    }
+    let m = a.dims()[0];
+    if a.dims()[1] != g.cols {
+        return Err(TensorError::ShapeMismatch {
+            lhs: a.dims().to_vec(),
+            rhs: vec![g.cols, g.rows],
+            op: "gemm_im2col3d_t",
+        });
+    }
+    if out.dims() != [m, g.rows] {
+        return Err(TensorError::ShapeMismatch {
+            lhs: out.dims().to_vec(),
+            rhs: vec![m, g.rows],
+            op: "gemm_im2col3d_t(out)",
+        });
+    }
+    let pa = PackedA::pack_slice(a.as_slice(), m, g.cols);
+    let pb = pack_bt_im2col3d(input, spec, &g);
+    gemm_packed_stripe(&pa.data, m, g.cols, &pb.data, g.rows, out.as_mut_slice());
     workspace::give(pb.data);
     Ok(())
 }
@@ -824,6 +942,33 @@ mod tests {
         let want = pack_b_slice(cols.as_slice(), g.rows, g.cols);
         let got = pack_b_im2col3d(&x, &spec, &g);
         assert_eq!(&got.data[..g.rows * g.cols], want.data.as_slice());
+    }
+
+    #[test]
+    fn transposed_packing_equals_packing_the_transposed_matrix() {
+        // 3·2·3·3 = 54 rows: one full strip and a 22-wide tail, whose
+        // groups are 8, 8 and a 6-row remainder.
+        let mut rng = Rng64::new(25);
+        let spec = Conv3dSpec { in_channels: 3, kt: 2, kh: 3, kw: 3, st: 1, sh: 2, sw: 1, pt: 0, ph: 1, pw: 2 };
+        let x = Tensor::randn(&[3, 4, 5, 6], 1.0, rng.as_rng());
+        let g = ColGeom::new(&x, &spec).unwrap();
+        let cols_t = crate::im2col3d(&x, &spec).unwrap().transpose().unwrap();
+        let want = pack_b_slice(cols_t.as_slice(), g.cols, g.rows);
+        let got = pack_bt_im2col3d(&x, &spec, &g);
+        assert_eq!(&got.data[..g.rows * g.cols], want.data.as_slice());
+    }
+
+    #[test]
+    fn transposed_lowering_validates_shapes() {
+        let spec = Conv3dSpec::cubic(2, 1, (1, 1, 1), 0);
+        let x = Tensor::zeros(&[2, 1, 1, 5]);
+        let a = Tensor::zeros(&[3, 5]);
+        let mut out = Tensor::zeros(&[3, 2]);
+        assert!(gemm_im2col3d_t(&a, &x, &spec, &mut out).is_ok());
+        assert!(gemm_im2col3d_t(&Tensor::zeros(&[3, 4]), &x, &spec, &mut out).is_err(), "depth");
+        assert!(gemm_im2col3d_t(&Tensor::zeros(&[15]), &x, &spec, &mut out).is_err(), "rank");
+        assert!(gemm_im2col3d_t(&a, &Tensor::zeros(&[3, 1, 1, 5]), &spec, &mut out).is_err());
+        assert!(gemm_im2col3d_t(&a, &x, &spec, &mut Tensor::zeros(&[3, 3])).is_err(), "out");
     }
 
     #[test]

@@ -22,11 +22,13 @@ cargo test -q --release --offline -p duo-retrieval --lib
 # hostile-image property's wrapped counts meeting the code the service
 # runs.
 cargo test -q --release --offline --test index_properties
-# The same for the kernels every backbone forward runs: the convolution
-# lowering's run kernel and its packing straight into GEMM strips
-# (duo-tensor), the lane Linear (duo-nn), and the GEMM/convolution
-# bit-identity suite.
-cargo test -q --release --offline -p duo-tensor -p duo-nn --lib
+# The same for the kernels every backbone forward and backward runs: the
+# convolution lowering's and fold's run kernels and the packing straight
+# into GEMM strips, forward and transposed (duo-tensor), the lane Linear
+# (duo-nn), the one-sided backward passes against the full one for every
+# architecture (duo-models), the surrogate steal against its reference
+# loop (duo-attack), and the GEMM/convolution bit-identity suite.
+cargo test -q --release --offline -p duo-tensor -p duo-nn -p duo-models -p duo-attack --lib
 cargo test -q --release --offline --test kernel_bit_identity
 
 # End-to-end benchmark: a package of its own (e2e_bench/, outside the

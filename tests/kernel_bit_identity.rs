@@ -12,16 +12,20 @@
 //! kernel's full-depth store schedule. The convolution forward lowers its
 //! input straight into the packed B strips; over strides, pads, kernel
 //! extents and output widths it must equal the oracle against the
-//! materialized `im2col3d` matrix. Callers on several threads at once
-//! share only the workspace bin, and must still land on the oracle's bits.
+//! materialized `im2col3d` matrix. The convolution weight gradient
+//! lowers the same rows into the strips of the transposed operand; over
+//! random geometries, with tap counts on both sides of one and two
+//! 32-column strips, it must equal the oracle against the materialized,
+//! transposed matrix. Callers on several threads at once share only the
+//! workspace bin, and must still land on the oracle's bits.
 //!
 //! Failing case seeds persist to `tests/properties.regressions` and
 //! replay before fresh generation (asserted at the bottom of this file).
 
 use duo_check::{check, prop_assert_eq, Config, Strategy};
 use duo_tensor::{
-    gemm_im2col3d, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec, PackedA, Rng64,
-    Tensor,
+    gemm_im2col3d, gemm_im2col3d_t, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec,
+    PackedA, Rng64, Tensor,
 };
 use std::ops::Range;
 
@@ -50,6 +54,21 @@ fn reference(a: &Tensor, b: &Tensor) -> Tensor {
     matmul_into_reference(a, b, &mut out).unwrap();
     out
 }
+
+/// `(channels, kt, kh, kw)`: tap counts `C·kt·kh·kw` of 1 and 8 (one
+/// narrow strip), 31, 32 and 33 (either side of one 32-column strip),
+/// 63, 64 and 65 (of two), and C3D conv1's 81 (two strips and a tail).
+const TAPS: [(usize, usize, usize, usize); 9] = [
+    (1, 1, 1, 1),
+    (1, 2, 2, 2),
+    (31, 1, 1, 1),
+    (2, 2, 2, 4),
+    (11, 1, 3, 1),
+    (7, 1, 3, 3),
+    (4, 1, 4, 4),
+    (13, 1, 5, 1),
+    (3, 3, 3, 3),
+];
 
 check! {
     #![config(config())]
@@ -123,6 +142,42 @@ check! {
         let mut fused = Tensor::full(want.dims(), f32::NAN);
         gemm_im2col3d(&packed, &input, &spec, &mut fused).unwrap();
         prop_assert_eq!(bits(&want), bits(&fused), "[{chans},{t},{h},{w}] oc{oc} {spec:?}");
+    }
+
+    fn lowered_weight_gradient_is_bitwise_transposed_im2col_gemm(
+        tap in 0usize..TAPS.len(),
+        ms in (1usize..20, seed()),
+        thw in (1usize..7, 1usize..9, 1usize..12),
+        st in (1usize..4, 1usize..4, 1usize..4),
+        pad in (0usize..3, 0usize..3, 0usize..3),
+    ) {
+        // Output-gradient rows on every 8-row block remainder; strides
+        // 1–3 and pads 0–2 over extents grown to fit the kernel.
+        let (chans, kt, kh, kw) = TAPS[tap];
+        let (m, s) = ms;
+        let spec = Conv3dSpec {
+            in_channels: chans,
+            kt,
+            kh,
+            kw,
+            st: st.0,
+            sh: st.1,
+            sw: st.2,
+            pt: pad.0,
+            ph: pad.1,
+            pw: pad.2,
+        };
+        let t = thw.0.max(kt.saturating_sub(2 * pad.0));
+        let h = thw.1.max(kh.saturating_sub(2 * pad.1));
+        let w = thw.2.max(kw.saturating_sub(2 * pad.2));
+        let mut rng = Rng64::new(s);
+        let input = Tensor::randn(&[chans, t, h, w], 1.0, rng.as_rng());
+        let cols_t = im2col3d(&input, &spec).unwrap().transpose().unwrap();
+        let g = Tensor::randn(&[m, cols_t.dims()[0]], 1.0, rng.as_rng());
+        let want = reference(&g, &cols_t);
+        let mut lowered = Tensor::full(want.dims(), f32::NAN);
+        gemm_im2col3d_t(&g, &input, &spec, &mut lowered).unwrap();
+        prop_assert_eq!(bits(&want), bits(&lowered), "[{chans},{t},{h},{w}] m{m} {spec:?}");
     }
 
     fn packed_conv3d_is_bitwise_reference(
