@@ -1,22 +1,15 @@
 //! Serving-layer benchmarks: single-query vs micro-batched throughput.
 //!
-//! Two levels of measurement:
-//!
-//! * `serve/extract_*` — the raw batched forward ([`duo_nn::Layer::infer_batch`]
-//!   via `Backbone::extract_batch`) against a serial `extract` loop on one
-//!   thread. This isolates the compute-level amortization (each
-//!   convolution's weight matrix packed once per batch); since the
-//!   lowering and GEMM buffers come from a recycled workspace on both
-//!   paths, it is mostly a parity check that the batched path never
-//!   costs more than the serial loop.
-//! * `serve/single_query_*` vs `serve/micro_batched_*` — the full service:
-//!   rounds of lockstep bursts from four concurrent client threads against
-//!   a live `duo-serve` service, with batching off (`batch_max = 1`, every
-//!   request is its own backbone forward and worker handoff) and on
-//!   (`batch_max = 4`, one coalesced batched forward per burst). On top of
-//!   the forward amortization, batching coalesces the per-request batcher
-//!   wakeups and scheduling handoffs, which is where most of the
-//!   single-core win comes from.
+//! `serve/single_query_*` vs `serve/micro_batched_*` time the full
+//! service: rounds of lockstep bursts from four concurrent client threads
+//! against a live `duo-serve` service, with batching off (`batch_max = 1`,
+//! every request is its own embed and worker handoff) and on
+//! (`batch_max = 4`, one coalesced batch per burst). A batch's embed is
+//! split into chunks on up to `min(workers, batch, cores)` threads, each
+//! running the per-clip forward, and batching also coalesces the
+//! per-request batcher wakeups and scheduling handoffs; both are where
+//! the win comes from. `serve/defended_*` and `serve/purified_*` add the
+//! blue-team admission stage and purification on the batched path.
 //!
 //! Entries that threshold rules compare are sampled interleaved
 //! ([`Runner::bench_interleaved`]), so drift in the host's speed cannot
@@ -32,42 +25,20 @@
 use duo_bench::{bench_group, Runner};
 use duo_defenses::{FeatureSqueezing, StreamConfig};
 use duo_experiments::{build_world, Scale};
-use duo_models::{Architecture, Backbone, BackboneConfig, LossKind};
+use duo_models::{Architecture, BackboneConfig, LossKind};
 use duo_retrieval::RetrievalSystem;
 use duo_serve::{DefenseConfig, Purify, RetrievalService, ServeConfig};
-use duo_tensor::Rng64;
-use duo_video::{ClipSpec, DatasetKind, SyntheticVideoGenerator, Video};
-use std::hint::black_box;
+use duo_video::{ClipSpec, DatasetKind, Video};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 4;
 const ROUNDS: usize = 4;
 
-fn bench_batched_forward(c: &mut Runner) {
-    let mut rng = Rng64::new(0xBA7C4);
-    let model =
-        Backbone::new(Architecture::I3d, BackboneConfig::experiment(), &mut rng).unwrap();
-    let generator = SyntheticVideoGenerator::new(ClipSpec::experiment(), 5);
-    let videos: Vec<Video> = (0..CLIENTS as u32).map(|i| generator.generate(i, i)).collect();
-    let refs: Vec<&Video> = videos.iter().collect();
-    c.bench_interleaved(&["serve/extract_serial_4", "serve/extract_batched_4"], |entry| {
-        let start = Instant::now();
-        if entry == 0 {
-            for v in &refs {
-                black_box(model.extract(v).unwrap());
-            }
-        } else {
-            black_box(model.extract_batch(&refs, 1).unwrap());
-        }
-        start.elapsed().as_secs_f64()
-    });
-}
-
 fn serve_system() -> (RetrievalSystem, Vec<Video>) {
     let mut scale = Scale::smoke();
-    // Experiment-scale clips and backbone: large enough convolutions that
-    // the batched forward's workspace amortization is measurable.
+    // Experiment-scale clips and backbone: the geometry the experiment
+    // binaries serve.
     scale.clip = ClipSpec::experiment();
     scale.backbone = BackboneConfig::experiment();
     let world =
@@ -210,7 +181,7 @@ fn sample_size() -> usize {
 bench_group! {
     name = benches;
     config = Runner::default().sample_size(sample_size());
-    targets = bench_batched_forward, bench_serve
+    targets = bench_serve
 }
 
 fn main() {

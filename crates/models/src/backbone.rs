@@ -321,27 +321,15 @@ impl Backbone {
         Ok(self.net.infer(&video.to_model_input())?)
     }
 
-    /// Extracts the embedding from a prepared `[C, T, H, W]` tensor
-    /// (pure inference, `&self`).
+    /// Extracts embeddings for a batch of videos, split into up to
+    /// `workers` contiguous chunks: the calling thread runs the first and
+    /// one scoped thread runs each other one, and each chunk runs
+    /// [`Backbone::extract`] once per clip.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Backbone::extract`].
-    pub fn extract_tensor(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.net.infer(input)?)
-    }
-
-    /// Extracts embeddings for a batch of videos through the network's
-    /// batched forward ([`duo_nn::Layer::infer_batch`]), split into up
-    /// to `workers` contiguous chunks: the calling thread runs the first
-    /// and one scoped thread runs each other one.
-    ///
-    /// The batched forward runs the exact same per-item computation as
-    /// [`Backbone::extract`] — it only amortizes per-call setup (each
-    /// convolution's packed weight matrix) across the batch — so the result is
-    /// bit-identical to a serial loop. Parallelism and batching only
-    /// change wall-clock time, never values. `workers == 0` is treated
-    /// as 1. Results are returned in input order.
+    /// Every embedding is therefore bit-identical to a serial loop of
+    /// `extract`; the split only changes wall-clock time, never values.
+    /// `workers == 0` is treated as 1. Results are returned in input
+    /// order.
     ///
     /// # Errors
     ///
@@ -352,8 +340,7 @@ impl Backbone {
         }
         let workers = workers.max(1).min(videos.len());
         let run = |vids: &[&Video]| -> Result<Vec<Tensor>> {
-            let inputs: Vec<Tensor> = vids.iter().map(|v| v.to_model_input()).collect();
-            Ok(self.net.infer_batch(&inputs)?)
+            vids.iter().map(|v| self.extract(v)).collect()
         };
         let mut chunks = videos.chunks(videos.len().div_ceil(workers));
         let first = chunks.next().expect("a non-empty batch has a first chunk");
@@ -386,16 +373,6 @@ impl Backbone {
     /// Same as [`Backbone::extract`].
     pub fn extract_training(&mut self, video: &Video) -> Result<Tensor> {
         Ok(self.net.forward(&video.to_model_input())?)
-    }
-
-    /// Training-path variant of [`Backbone::extract_tensor`]: caches the
-    /// forward state needed by the backward passes.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Backbone::extract`].
-    pub fn extract_tensor_training(&mut self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.net.forward(input)?)
     }
 
     /// Backpropagates a feature-space gradient through the caches of the
@@ -563,7 +540,7 @@ mod tests {
             let train = bits(&model.extract_training(&video).unwrap());
             assert_eq!(infer, train, "{arch}: infer must be bit-identical");
             for item in &batched {
-                assert_eq!(bits(item), infer, "{arch}: infer_batch must be bit-identical");
+                assert_eq!(bits(item), infer, "{arch}: extract_batch must be bit-identical");
             }
         }
     }

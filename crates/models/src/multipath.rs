@@ -90,39 +90,6 @@ impl Layer for MultiPath {
         Ok(fused)
     }
 
-    fn infer_batch(&self, inputs: &[Tensor]) -> NnResult<Vec<Tensor>> {
-        // Run each branch over the whole batch (so its conv layers
-        // amortize their batched setup), then concatenate per item in the
-        // same branch order as `infer`.
-        let mut branch_outs = Vec::with_capacity(self.branches.len());
-        for branch in &self.branches {
-            let ys = branch.infer_batch(inputs)?;
-            for y in &ys {
-                if y.rank() != 1 {
-                    return Err(NnError::BadInput {
-                        layer: "MultiPath",
-                        reason: format!("branches must output rank-1 features, got {:?}", y.dims()),
-                    });
-                }
-            }
-            branch_outs.push(ys);
-        }
-        let mut fused_all = Vec::with_capacity(inputs.len());
-        for i in 0..inputs.len() {
-            let total: usize = branch_outs.iter().map(|ys| ys[i].len()).sum();
-            let mut fused = Tensor::zeros(&[total]);
-            let fv = fused.as_mut_slice();
-            let mut off = 0;
-            for ys in &branch_outs {
-                let y = &ys[i];
-                fv[off..off + y.len()].copy_from_slice(y.as_slice());
-                off += y.len();
-            }
-            fused_all.push(fused);
-        }
-        Ok(fused_all)
-    }
-
     fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> NnResult<Option<Tensor>> {
         if !self.forwarded {
             return Err(NnError::MissingForwardCache { layer: "MultiPath" });

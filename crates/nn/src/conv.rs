@@ -1,7 +1,5 @@
 use crate::{Grads, Layer, NnError, Param, Result};
-use duo_tensor::{
-    col2im3d, gemm_im2col3d, gemm_im2col3d_t, matmul_into, Conv3dSpec, PackedA, Rng64, Tensor,
-};
+use duo_tensor::{col2im3d, gemm_im2col3d, gemm_im2col3d_t, matmul_into, Conv3dSpec, Rng64, Tensor};
 
 /// 3-D convolution over `[C, T, H, W]` inputs.
 ///
@@ -10,10 +8,11 @@ use duo_tensor::{
 /// `duo-models` are expressed without a separate 2-D code path.
 ///
 /// Forward is `W · im2col(x)` through one kernel,
-/// [`duo_tensor::gemm_im2col3d`], which lowers the input straight into
-/// the GEMM's packed operand and never builds the column matrix:
-/// [`Layer::infer`], [`Layer::infer_batch`] and the training
-/// [`Layer::forward`] all run it, so their outputs are bit-identical.
+/// [`duo_tensor::gemm_im2col3d`], which packs the weight and lowers the
+/// input straight into the GEMM's packed operand, never building the
+/// column matrix: [`Layer::infer`] runs it, and the training
+/// [`Layer::forward`] is `infer` plus a cached input, so their outputs
+/// are bit-identical.
 /// The training forward caches only its input. Backward lowers that
 /// input again for the weight gradient `g · im2col(x)ᵀ`, straight into
 /// the packed operand of the transposed matrix
@@ -91,16 +90,6 @@ impl Conv3d {
         }
         Ok(Tensor::from_vec(ov, &[self.out_channels, out_thw.0, out_thw.1, out_thw.2])?)
     }
-
-    /// The inference forward for one clip against a weight matrix packed
-    /// once per call.
-    fn run_infer(&self, packed_w: &PackedA, input: &Tensor) -> Result<Tensor> {
-        let out_thw = self.out_thw(input)?;
-        let positions = out_thw.0 * out_thw.1 * out_thw.2;
-        let mut out = Tensor::zeros(&[self.out_channels, positions]);
-        gemm_im2col3d(packed_w, input, &self.spec, &mut out)?;
-        self.finish(out, out_thw)
-    }
 }
 
 impl std::fmt::Debug for Conv3d {
@@ -123,16 +112,11 @@ impl Layer for Conv3d {
     }
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        self.run_infer(&PackedA::pack(&self.weight_matrix()?)?, input)
-    }
-
-    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        // The weight matrix is the left GEMM operand of every item, so
-        // pack it once and reuse the packed panels across the whole batch.
-        // The per-item arithmetic is `infer`'s, so every output is
-        // bit-identical to it.
-        let packed_w = PackedA::pack(&self.weight_matrix()?)?;
-        inputs.iter().map(|x| self.run_infer(&packed_w, x)).collect()
+        let out_thw = self.out_thw(input)?;
+        let positions = out_thw.0 * out_thw.1 * out_thw.2;
+        let mut out = Tensor::zeros(&[self.out_channels, positions]);
+        gemm_im2col3d(&self.weight_matrix()?, input, &self.spec, &mut out)?;
+        self.finish(out, out_thw)
     }
 
     fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {

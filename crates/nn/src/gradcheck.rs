@@ -90,11 +90,10 @@ mod tests {
     }
 
     #[test]
-    fn infer_batch_is_bitwise_eval_forward_after_kernel_swap() {
-        // The Layer contract: `infer_batch` equals per-sample eval-mode
-        // `forward` at f32::to_bits granularity. The batched path runs the
-        // packed GEMM over one weight packing, the per-sample path runs
-        // the same kernels one item at a time.
+    fn infer_is_bitwise_eval_forward() {
+        // The Layer contract: `infer` equals eval-mode `forward` at
+        // f32::to_bits granularity, on every input of a chain that runs
+        // the packed convolution GEMM and the lane `Linear`.
         let mut rng = Rng64::new(76);
         let mut net = Sequential::new(vec![
             Box::new(Conv3d::new(Conv3dSpec::cubic(2, 3, (1, 1, 1), 1), 4, &mut rng))
@@ -103,14 +102,12 @@ mod tests {
             Box::new(GlobalAvgPool::new()),
             Box::new(Linear::new(4, 3, &mut rng)),
         ]);
-        let inputs: Vec<Tensor> =
-            (0..4).map(|_| Tensor::randn(&[2, 3, 7, 7], 1.0, rng.as_rng())).collect();
-        let batched = net.infer_batch(&inputs).unwrap();
-        for (x, y) in inputs.iter().zip(&batched) {
-            let single = net.forward(x).unwrap();
-            let sb: Vec<u32> = single.as_slice().iter().map(|v| v.to_bits()).collect();
-            let yb: Vec<u32> = y.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, yb, "batched inference drifted from eval-mode forward");
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for _ in 0..4 {
+            let x = Tensor::randn(&[2, 3, 7, 7], 1.0, rng.as_rng());
+            let inferred = bits(&net.infer(&x).unwrap());
+            let forward = bits(&net.forward(&x).unwrap());
+            assert_eq!(forward, inferred, "infer drifted from eval-mode forward");
         }
     }
 

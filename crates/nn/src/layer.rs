@@ -95,11 +95,12 @@ impl Grads {
 /// gradient. A container asks each child for its input gradient except
 /// the first, which it asks for exactly what its own caller asked.
 ///
-/// The *inference* path is [`Layer::infer`]: the identical computation in
-/// evaluation mode, without touching any cache. Because it takes `&self`
-/// (and the trait requires `Send + Sync`), a built network can be shared
-/// across threads — the serving layer runs one model under concurrent
-/// query load this way.
+/// The *inference* path is [`Layer::infer`], a layer's one inference
+/// forward: the identical computation in evaluation mode, without
+/// touching any cache. Because it takes `&self` (and the trait requires
+/// `Send + Sync`), a built network can be shared across threads — the
+/// serving layer embeds a batch by running it once per clip, on several
+/// threads at once.
 ///
 /// Implementations must tolerate repeated `forward` calls (the latest cache
 /// wins), must return an error — not panic — when `backward` is called
@@ -122,20 +123,6 @@ pub trait Layer: Parameterized + Send + Sync {
     ///
     /// Returns an error if the input shape is incompatible with the layer.
     fn infer(&self, input: &Tensor) -> Result<Tensor>;
-
-    /// Computes the layer output for a *batch* of inputs in evaluation
-    /// mode. Bit-identical to calling [`Layer::infer`] on each input in
-    /// order — the default does exactly that — but layers with expensive
-    /// per-call setup (a convolution's packed weight matrix) override it
-    /// to amortize that work across the batch. This is the batched forward
-    /// entry point the serving layer's micro-batcher drives.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first per-input error, exactly as `infer` would.
-    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        inputs.iter().map(|x| self.infer(x)).collect()
-    }
 
     /// Propagates `grad_out` back through the layer, computing the
     /// gradients `grads` names: the gradient with respect to the input is
@@ -220,26 +207,16 @@ impl Layer for Sequential {
     }
 
     fn infer(&self, input: &Tensor) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &self.layers {
+        // The first layer reads `input` directly, so the (large) input
+        // clip is never cloned.
+        let Some((first, rest)) = self.layers.split_first() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.infer(input)?;
+        for layer in rest {
             x = layer.infer(&x)?;
         }
         Ok(x)
-    }
-
-    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        // Feed the whole batch through layer by layer so each layer's
-        // batched override amortizes its setup once per layer, not once
-        // per item. The first layer consumes `inputs` directly, so the
-        // batch of (large) input clips is never cloned.
-        let Some((first, rest)) = self.layers.split_first() else {
-            return Ok(inputs.to_vec());
-        };
-        let mut batch = first.infer_batch(inputs)?;
-        for layer in rest {
-            batch = layer.infer_batch(&batch)?;
-        }
-        Ok(batch)
     }
 
     fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {
@@ -544,24 +521,6 @@ impl Layer for Residual {
                 reason: format!("main/shortcut shape mismatch: {e}"),
             }
         })
-    }
-
-    fn infer_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        let main_outs = self.main.infer_batch(inputs)?;
-        let skips = match &self.shortcut {
-            Some(s) => s.infer_batch(inputs)?,
-            None => inputs.to_vec(),
-        };
-        main_outs
-            .iter()
-            .zip(&skips)
-            .map(|(m, s)| {
-                m.add(s).map_err(|e| NnError::BadInput {
-                    layer: "Residual",
-                    reason: format!("main/shortcut shape mismatch: {e}"),
-                })
-            })
-            .collect()
     }
 
     fn backward(&mut self, grad_out: &Tensor, grads: Grads) -> Result<Option<Tensor>> {

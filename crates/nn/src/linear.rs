@@ -8,13 +8,12 @@ const LANES: usize = 16;
 
 /// Fully-connected layer: `y = W x + b` over rank-1 inputs.
 ///
-/// Every forward (`forward`, `infer`, and `infer_batch`, which is `infer`
-/// per sample) scores 16 outputs per pass over the input, one per
-/// SIMD lane, from a transposed copy of the weight: lane `o` folds
-/// `w[o][i].mul_add(x[i], acc)` from `0.0` in increasing `i` and adds
-/// `b[o]` last — the scalar row fold's float program, so every output is
-/// bit-identical to it. Outputs past the last full lane block take the
-/// scalar row fold itself.
+/// Both forwards (`forward` and `infer`) score 16 outputs per pass over
+/// the input, one per SIMD lane, from a transposed copy of the weight:
+/// lane `o` folds `w[o][i].mul_add(x[i], acc)` from `0.0` in increasing
+/// `i` and adds `b[o]` last — the scalar row fold's float program, so
+/// every output is bit-identical to it. Outputs past the last full lane
+/// block take the scalar row fold itself.
 ///
 /// The transposed copy is built on first use and kept with the layer.
 /// Every path that can rewrite the weight reaches it through
@@ -291,11 +290,9 @@ mod tests {
             let mut lin = Linear::new(nin, nout, &mut rng);
             lin.bias.value = Tensor::randn(&[nout], 1.0, rng.as_rng());
             let xs: Vec<Tensor> = (0..3).map(|_| Tensor::randn(&[nin], 1.0, rng.as_rng())).collect();
-            let batched = lin.infer_batch(&xs).unwrap();
-            for (x, y) in xs.iter().zip(&batched) {
+            for x in &xs {
                 let want = oracle(&lin, x);
                 prop_assert_eq!(bits(&lin.infer(x).unwrap()), want.clone(), "infer {nin}->{nout}");
-                prop_assert_eq!(bits(y), want.clone(), "infer_batch {nin}->{nout}");
                 prop_assert_eq!(bits(&lin.forward(x).unwrap()), want, "forward {nin}->{nout}");
             }
         }
@@ -370,27 +367,6 @@ mod tests {
         // Accumulation: a second backward doubles the gradients.
         lin.backward(&Tensor::from_vec(vec![2.0], &[1]).unwrap(), Grads::Both).unwrap();
         assert_eq!(lin.weight.grad.as_slice(), &[12.0, 20.0]);
-    }
-
-    #[test]
-    fn linear_infer_batch_is_bitwise_per_sample() {
-        let mut rng = Rng64::new(6);
-        let lin = Linear::new(13, 7, &mut rng);
-        let inputs: Vec<Tensor> =
-            (0..5).map(|_| Tensor::randn(&[13], 1.0, rng.as_rng())).collect();
-        let batched = lin.infer_batch(&inputs).unwrap();
-        for (x, y) in inputs.iter().zip(&batched) {
-            let single = lin.infer(x).unwrap();
-            assert_eq!(single.as_slice(), y.as_slice(), "batched path must not drift");
-        }
-    }
-
-    #[test]
-    fn linear_infer_batch_rejects_bad_item() {
-        let mut rng = Rng64::new(7);
-        let lin = Linear::new(3, 2, &mut rng);
-        let inputs = vec![Tensor::ones(&[3]), Tensor::ones(&[4])];
-        assert!(lin.infer_batch(&inputs).is_err());
     }
 
     #[test]

@@ -621,22 +621,15 @@ impl IndexStats {
     }
 }
 
-/// Per-mode scan counters for a whole system: the aggregate plus one
-/// [`IndexStats`] bucket per index mode, so mixed-mode fleets attribute
-/// recall (and probe/rerank volume) to the mode that produced it, plus
-/// the system's resident byte footprint split into f32 features and
-/// compressed-code bytes.
+/// Scan counters for a whole system: every shard's [`IndexStats`]
+/// merged, plus the system's resident byte footprint split into f32
+/// features and compressed-code bytes. Every shard of a system runs the
+/// one [`IndexMode`] its configuration names, so the merged counters are
+/// that mode's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexBreakdown {
-    /// All shards' counters merged (what [`IndexStats`] alone reported
-    /// before the split).
+    /// All shards' counters merged.
     pub total: IndexStats,
-    /// Counters of shards serving [`IndexMode::Exact`].
-    pub exact: IndexStats,
-    /// Counters of shards serving [`IndexMode::Ivf`].
-    pub ivf: IndexStats,
-    /// Counters of shards serving [`IndexMode::Pq`].
-    pub pq: IndexStats,
     /// Bytes of retained f32 feature matrix across shards.
     pub feature_bytes: u64,
     /// Bytes of compressed codes plus codec tables across shards (0 for
@@ -644,22 +637,7 @@ pub struct IndexBreakdown {
     pub code_bytes: u64,
 }
 
-duo_tensor::impl_to_json!(struct IndexBreakdown {
-    total, exact, ivf, pq, feature_bytes, code_bytes
-});
-
-impl IndexBreakdown {
-    /// Merges one shard's counters into the aggregate and into the
-    /// bucket for `mode`.
-    pub fn absorb(&mut self, mode: IndexMode, stats: &IndexStats) {
-        self.total.merge(stats);
-        match mode {
-            IndexMode::Exact => self.exact.merge(stats),
-            IndexMode::Ivf { .. } => self.ivf.merge(stats),
-            IndexMode::Pq { .. } => self.pq.merge(stats),
-        }
-    }
-}
+duo_tensor::impl_to_json!(struct IndexBreakdown { total, feature_bytes, code_bytes });
 
 /// The per-shard nearest-neighbour index: SoA feature storage plus an
 /// optional IVF coarse quantizer. See the [module docs](self) for the
@@ -1687,25 +1665,6 @@ mod tests {
         let stats = index.stats();
         assert_eq!(stats.audit_queries, 1, "first compressed query is audited");
         assert!(stats.recall_at_m().is_some());
-    }
-
-    #[test]
-    fn breakdown_buckets_by_mode() {
-        let gallery = grid_gallery(30);
-        let exact = ShardIndex::build(&gallery, IndexMode::Exact, 0).unwrap();
-        let pq = ShardIndex::build(&gallery, IndexMode::pq(3, 2, 2, 8, 0), 1).unwrap();
-        exact.search(&[1.0, 1.0], 3);
-        pq.search(&[1.0, 1.0], 3);
-        pq.search(&[2.0, 1.0], 3);
-        let mut b = IndexBreakdown::default();
-        b.absorb(exact.mode(), &exact.stats());
-        b.absorb(pq.mode(), &pq.stats());
-        assert_eq!(b.total.queries, 3);
-        assert_eq!(b.exact.queries, 1);
-        assert_eq!(b.pq.queries, 2);
-        assert_eq!(b.ivf.queries, 0);
-        assert!(b.pq.recall_at_m().is_some());
-        assert_eq!(b.exact.recall_at_m(), None);
     }
 
     #[test]

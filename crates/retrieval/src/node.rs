@@ -185,11 +185,6 @@ impl DataNode {
             .merge(&retired.stats());
     }
 
-    /// How this shard answers queries ([`IndexMode::Exact`] or IVF).
-    pub fn index_mode(&self) -> IndexMode {
-        self.snapshot().mode()
-    }
-
     /// The shard's scan counters: the live generation's plus every
     /// retired generation's (monotonic across epoch publishes).
     pub fn index_stats(&self) -> IndexStats {

@@ -419,15 +419,13 @@ impl RetrievalSystem {
         total
     }
 
-    /// Scan counters split per index mode, plus the system's resident
-    /// byte footprint (f32 features vs compressed codes) — the shape
-    /// [`crate::IndexBreakdown`] documents. Recall audits attribute to
-    /// the mode of the shard that answered, so a mixed-mode fleet
-    /// reports exact/IVF/PQ recall separately.
+    /// Scan counters summed over every node (as [`Self::index_stats`]),
+    /// plus the system's resident byte footprint (f32 features vs
+    /// compressed codes) — the shape [`crate::IndexBreakdown`] documents.
     pub fn index_breakdown(&self) -> crate::IndexBreakdown {
         let mut breakdown = crate::IndexBreakdown::default();
         for node in &self.nodes {
-            breakdown.absorb(node.index_mode(), &node.index_stats());
+            breakdown.total.merge(&node.index_stats());
             let snap = node.snapshot();
             breakdown.feature_bytes += snap.feature_bytes();
             breakdown.code_bytes += snap.code_bytes();
@@ -469,9 +467,10 @@ impl RetrievalSystem {
     }
 
     /// Extracts victim embeddings for a batch of queries, split into up
-    /// to `workers` chunks; the calling thread runs the first (see
-    /// [`Backbone::extract_batch`]). Bit-identical to calling
-    /// [`RetrievalSystem::embed`] per item, in input order.
+    /// to `workers` chunks that each embed their clips one at a time; the
+    /// calling thread runs the first (see [`Backbone::extract_batch`]).
+    /// Bit-identical to calling [`RetrievalSystem::embed`] per item, in
+    /// input order.
     ///
     /// # Errors
     ///

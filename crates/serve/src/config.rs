@@ -42,12 +42,12 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Retrieval worker threads draining the batched work queue. It also
-    /// caps the chunks one batched backbone forward splits its batch into
-    /// (at most one per item and one per core): the batcher thread runs
-    /// the first chunk and a scoped thread each other one, so a chunk's
-    /// kernels run on one thread.
+    /// caps the chunks a batch's embed splits into (at most one per item
+    /// and one per core): the batcher thread runs the first chunk and a
+    /// scoped thread each other one, and each chunk runs the backbone's
+    /// forward once per clip on its one thread.
     pub workers: usize,
-    /// Maximum requests coalesced into one batched backbone forward.
+    /// Maximum requests coalesced into one batch.
     pub batch_max: usize,
     /// The longest the batcher holds a batch open, counted from its first
     /// request. It waits only while another request is still in

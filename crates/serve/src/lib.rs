@@ -5,15 +5,15 @@
 //! deployed service*, not by calls into an in-process model. This crate
 //! supplies that deployment surface: one immutable
 //! [`duo_retrieval::RetrievalSystem`] served by a fixed pool of worker
-//! threads, with pending embed requests coalesced into batched backbone
-//! forwards and every client metered by a hard query budget
+//! threads, with pending embed requests coalesced into batches embedded
+//! on parallel chunks and every client metered by a hard query budget
 //! ([`duo_retrieval::QueryLedger`]) plus an optional token-bucket rate
 //! limit.
 //!
 //! ```text
 //! ClientHandle ─► admission (budget + rate) ─► ingress queue ─► batcher
 //!                                                                  │
-//!                              batched embed (shared &RetrievalSystem)
+//!                              chunked embed (shared &RetrievalSystem)
 //!                                                                  │
 //!                              worker pool ─► retrieve_by_feature ─► reply
 //! ```
@@ -21,8 +21,8 @@
 //! Guarantees:
 //!
 //! * **Bit-identical results.** Batching and worker parallelism never
-//!   change a retrieval list: the batched forward is bit-identical to a
-//!   lone forward, and ranking happens per request.
+//!   change a retrieval list: every clip in a batch runs the lone
+//!   forward, and ranking happens per request.
 //! * **Rejected ≠ charged.** A query rejected by admission (budget,
 //!   rate, overload) costs the client nothing and never reaches the
 //!   model; `served + failed` in [`ServiceStats`] is exactly the number

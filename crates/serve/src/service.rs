@@ -389,10 +389,10 @@ fn flush_batch(shared: &Shared, batch: Vec<Request>, work_tx: &SyncSender<Work>,
         stats.batches += 1;
         stats.batch_hist[batch.len().min(config.batch_max)] += 1;
     }
-    // One batched backbone forward for the whole batch. Per-item work is
-    // bit-identical to a lone embed, so batching never changes results.
-    // Fan out across at most the machine's real parallelism — extra
-    // scoped threads on a saturated core are pure overhead.
+    // One chunked embed for the whole batch, each clip through the lone
+    // forward, so batching never changes results. Fan out across at
+    // most the machine's real parallelism — extra scoped threads on a
+    // saturated core are pure overhead.
     let embed_workers = config.workers.min(batch.len()).min(shared.cores);
     let videos: Vec<&Video> = batch.iter().map(|r| &r.video).collect();
     match shared.system.embed_batch(&videos, embed_workers) {
@@ -898,6 +898,60 @@ mod tests {
         let got = gather_on_thread(rx, Arc::new(AtomicUsize::new(1)), 8, HOUR);
         assert_eq!((got.slots, got.shutdown), (vec![0, 1], true));
         assert_eq!(next_slot(&got.ingress), Some(2), "nothing past the shutdown is taken");
+    }
+
+    #[test]
+    fn flush_batch_embeds_each_clip_alone_when_one_fails() {
+        let mut rng = Rng64::new(885);
+        let ds =
+            SyntheticDataset::subsampled(DatasetKind::Hmdb51Like, ClipSpec::tiny(), 885, 2, 1);
+        let gallery: Vec<VideoId> = ds.train().iter().filter(|id| id.class < 6).copied().collect();
+        let backbone = Backbone::new(Architecture::C3d, BackboneConfig::tiny(), &mut rng).unwrap();
+        let config = RetrievalConfig { m: 5, nodes: 2, ..RetrievalConfig::default() };
+        let system = RetrievalSystem::build(backbone, &ds, &gallery, config).unwrap();
+        let good: Vec<Video> = ds.test().iter().take(3).map(|&id| ds.video(id)).collect();
+        let service = RetrievalService::start(system, ServeConfig::default()).unwrap();
+        let (honest, sender) = (service.client(None, None), service.client(None, None));
+        let shared = &service.shared;
+
+        // Another clip geometry, which the backbone's head refuses, among
+        // three good clips: the batch's embed fails as a whole.
+        let malformed = Video::zeros(ClipSpec::experiment());
+        let plan = [(0, &good[0]), (1, &malformed), (0, &good[1]), (0, &good[2])];
+        let mut replies = Vec::new();
+        let batch: Vec<Request> = plan
+            .iter()
+            .map(|&(slot, video)| {
+                let (reply, replied) = mpsc::sync_channel(1);
+                replies.push(replied);
+                let video = video.clone();
+                Request { video, enqueued: Instant::now(), deadline: None, slot, reply }
+            })
+            .collect();
+        // What admission does before the enqueue.
+        shared.queue_depth.fetch_add(batch.len(), Ordering::SeqCst);
+        for &(slot, _) in &plan {
+            lock(&shared.clients)[slot].ledger.charge().unwrap();
+        }
+        let (work_tx, work_rx) = mpsc::sync_channel(plan.len());
+        flush_batch(shared, batch, &work_tx, &service.config());
+        drop(work_tx);
+
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let works: Vec<Work> = work_rx.iter().collect();
+        assert_eq!(works.len(), good.len(), "every good clip is embedded");
+        for (work, video) in works.iter().zip(&good) {
+            assert_eq!(work.request.slot, 0);
+            assert_eq!(bits(&work.feature), bits(&service.system().embed(video).unwrap()));
+        }
+        let failed = replies[1].try_recv().expect("the malformed request is answered");
+        assert!(matches!(failed, Err(ServeError::Retrieval(_))), "{failed:?}");
+        assert_eq!(sender.stats().unwrap().failed, 1);
+        assert_eq!(honest.stats().unwrap().failed, 0);
+        let stats = service.stats();
+        assert_eq!((stats.failed, stats.queue_depth), (1, 0));
+        assert_eq!((stats.batches, stats.batch_hist[plan.len()]), (1, 1));
+        service.shutdown();
     }
 
     #[test]

@@ -91,8 +91,8 @@ impl StatsInner {
         }
     }
 
-    /// Builds the public snapshot. `index` is the system's per-mode
-    /// shard-index breakdown
+    /// Builds the public snapshot. `index` is the system's shard-index
+    /// breakdown
     /// ([`duo_retrieval::RetrievalSystem::index_breakdown`]),
     /// `epoch`/`mutation` the gallery's epoch counter and mutation totals
     /// ([`duo_retrieval::RetrievalSystem::mutation_stats`]) — all sampled
@@ -166,10 +166,6 @@ impl StatsInner {
             index_code_bytes: index.code_bytes,
             recall_audits: index.total.audit_queries,
             recall_at_m: index.total.recall_at_m(),
-            recall_audits_ivf: index.ivf.audit_queries,
-            recall_at_m_ivf: index.ivf.recall_at_m(),
-            recall_audits_pq: index.pq.audit_queries,
-            recall_at_m_pq: index.pq.recall_at_m(),
         }
     }
 }
@@ -247,7 +243,7 @@ pub struct ServiceStats {
     pub rejected_rate: u64,
     /// Admissions shed because the ingress queue was full.
     pub rejected_overload: u64,
-    /// Batched backbone forwards executed.
+    /// Batches embedded (one chunked embed each).
     pub batches: u64,
     /// `batch_hist[s]` counts batches of exactly `s` requests.
     pub batch_hist: Vec<u64>,
@@ -325,21 +321,12 @@ pub struct ServiceStats {
     /// Bytes of compressed codes plus codec tables across all shards
     /// (0 when no shard runs a compressed mode).
     pub index_code_bytes: u64,
-    /// Coarse (IVF/PQ) searches recall-audited against an exact scan,
-    /// summed over all modes.
+    /// Coarse (IVF/PQ) searches recall-audited against an exact scan.
     pub recall_audits: u64,
     /// Running recall@m estimate from the audited coarse searches; `None`
     /// until the first audit (always `None` for exact-only traffic,
     /// whose recall is 1 by construction).
     pub recall_at_m: Option<f32>,
-    /// Audited searches served by uncompressed [`duo_retrieval::IndexMode::Ivf`] shards.
-    pub recall_audits_ivf: u64,
-    /// Recall@m over the IVF-audited searches only.
-    pub recall_at_m_ivf: Option<f32>,
-    /// Audited searches served by [`duo_retrieval::IndexMode::Pq`] shards.
-    pub recall_audits_pq: u64,
-    /// Recall@m over the PQ-audited searches only.
-    pub recall_at_m_pq: Option<f32>,
     /// Admission attempts observed by the streaming defense across all
     /// clients (0 when the service runs undefended).
     pub defense_observed: u64,
@@ -366,8 +353,6 @@ duo_tensor::impl_to_json!(struct ServiceStats {
     index_reranked_rows, index_mean_probes,
     index_feature_bytes, index_code_bytes,
     recall_audits, recall_at_m,
-    recall_audits_ivf, recall_at_m_ivf,
-    recall_audits_pq, recall_at_m_pq,
     defense_observed, defense_flagged, defense_throttled, defense_rejected,
     purified
 });
@@ -413,14 +398,10 @@ impl std::fmt::Display for ServiceStats {
             self.defense_observed, self.defense_flagged, self.defense_throttled,
             self.defense_rejected, self.purified
         )?;
-        let per_mode = |r: Option<f32>, n: u64| match r {
-            Some(r) => format!("{r:.3} ({n} audits)"),
-            None => "n/a".to_string(),
-        };
         write!(
             f,
             "index: {} searches, {} rows scanned ({} reranked), {:.2} mean probes, \
-             {} feat B + {} code B, recall@m {} [ivf {}, pq {}]",
+             {} feat B + {} code B, recall@m {}",
             self.index_queries,
             self.index_scanned_rows,
             self.index_reranked_rows,
@@ -431,8 +412,6 @@ impl std::fmt::Display for ServiceStats {
                 Some(r) => format!("{r:.3} ({} audits)", self.recall_audits),
                 None => "n/a (exact)".to_string(),
             },
-            per_mode(self.recall_at_m_ivf, self.recall_audits_ivf),
-            per_mode(self.recall_at_m_pq, self.recall_audits_pq),
         )
     }
 }
@@ -440,7 +419,7 @@ impl std::fmt::Display for ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use duo_retrieval::{IndexMode, IndexStats};
+    use duo_retrieval::IndexStats;
     use duo_tensor::ToJson;
 
     #[test]
@@ -467,7 +446,6 @@ mod tests {
         assert!(json.contains("\"index_queries\":0"), "{json}");
         assert!(json.contains("\"index_code_bytes\":0"), "{json}");
         assert!(json.contains("\"recall_at_m\":null"), "{json}");
-        assert!(json.contains("\"recall_at_m_pq\":null"), "{json}");
         assert!(json.contains("\"defense_observed\":0"), "{json}");
         assert!(json.contains("\"purified\":0"), "{json}");
     }
@@ -475,72 +453,28 @@ mod tests {
     #[test]
     fn snapshot_carries_index_counters() {
         let inner = StatsInner::new(2, 2);
-        let mut index = IndexBreakdown {
-            feature_bytes: 4096,
-            code_bytes: 1024,
-            ..IndexBreakdown::default()
+        let total = IndexStats {
+            queries: 10,
+            probed_lists: 40,
+            scanned_rows: 500,
+            reranked_rows: 64,
+            audit_queries: 2,
+            audit_hits: 19,
+            audit_expected: 20,
         };
-        index.absorb(
-            IndexMode::ivf(8, 2),
-            &IndexStats {
-                queries: 10,
-                probed_lists: 40,
-                scanned_rows: 500,
-                reranked_rows: 0,
-                audit_queries: 2,
-                audit_hits: 19,
-                audit_expected: 20,
-            },
-        );
+        let index = IndexBreakdown { total, feature_bytes: 4096, code_bytes: 1024 };
         let stats = inner.snapshot(0, index, 0, MutationStats::default());
         assert_eq!(stats.index_queries, 10);
         assert_eq!(stats.index_mean_probes, 4.0);
+        assert_eq!(stats.index_reranked_rows, 64);
         assert_eq!(stats.index_feature_bytes, 4096);
         assert_eq!(stats.index_code_bytes, 1024);
         assert_eq!(stats.recall_audits, 2);
         assert_eq!(stats.recall_at_m, Some(0.95));
         let json = stats.to_json().to_string();
         assert!(json.contains("\"recall_at_m\":0.95"), "{json}");
-    }
-
-    #[test]
-    fn snapshot_splits_recall_per_mode() {
-        let inner = StatsInner::new(2, 2);
-        let mut index = IndexBreakdown::default();
-        // An IVF shard at perfect audited recall and a PQ shard losing
-        // hits must land in separate buckets while the aggregate blends
-        // them.
-        index.absorb(
-            IndexMode::ivf(8, 2),
-            &IndexStats {
-                queries: 8,
-                audit_queries: 2,
-                audit_hits: 10,
-                audit_expected: 10,
-                ..IndexStats::default()
-            },
-        );
-        index.absorb(
-            IndexMode::pq(8, 2, 4, 8, 16),
-            &IndexStats {
-                queries: 8,
-                reranked_rows: 64,
-                audit_queries: 2,
-                audit_hits: 8,
-                audit_expected: 10,
-                ..IndexStats::default()
-            },
-        );
-        let stats = inner.snapshot(0, index, 0, MutationStats::default());
-        assert_eq!(stats.recall_audits, 4);
-        assert_eq!(stats.recall_at_m, Some(0.9));
-        assert_eq!(stats.recall_audits_ivf, 2);
-        assert_eq!(stats.recall_at_m_ivf, Some(1.0));
-        assert_eq!(stats.recall_audits_pq, 2);
-        assert_eq!(stats.recall_at_m_pq, Some(0.8));
-        assert_eq!(stats.index_reranked_rows, 64);
         let shown = stats.to_string();
-        assert!(shown.contains("pq 0.800"), "{shown}");
+        assert!(shown.contains("recall@m 0.950 (2 audits)"), "{shown}");
         assert!(shown.contains("64 reranked"), "{shown}");
     }
 

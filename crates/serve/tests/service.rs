@@ -6,6 +6,7 @@ use duo_retrieval::{QueryOracle, RetrievalConfig, RetrievalError, RetrievalSyste
 use duo_serve::{RateLimit, RetrievalService, ServeConfig, ServeError, ServiceOracle};
 use duo_tensor::Rng64;
 use duo_video::{ClipSpec, DatasetKind, SyntheticDataset, Video, VideoId};
+use std::sync::Barrier;
 use std::time::Duration;
 
 fn make_system(seed: u64, threaded: bool) -> (RetrievalSystem, SyntheticDataset) {
@@ -72,45 +73,54 @@ fn four_concurrent_clients_share_one_system() {
 
 #[test]
 fn batched_and_unbatched_serving_are_bit_identical() {
-    let videos;
-    let batched_lists;
-    {
-        let (system, ds) = make_system(502, false);
-        videos = queries(&ds, 5);
-        // Long batch_wait + one worker forces real coalescing.
-        let config = ServeConfig {
-            workers: 2,
-            batch_max: 8,
-            batch_wait: Duration::from_millis(20),
-            ..ServeConfig::default()
-        };
-        let service = RetrievalService::start(system, config).unwrap();
-        batched_lists = std::thread::scope(|scope| {
-            let handles: Vec<_> = videos
+    // A burst coalesces only while its clients are in admission together,
+    // which thread scheduling decides, so bursts of five clients released
+    // at one barrier repeat until one forms a batch of two or more.
+    const MAX_BURSTS: usize = 50;
+    let (system, ds) = make_system(502, false);
+    let videos = queries(&ds, 5);
+    let config = ServeConfig {
+        workers: 2,
+        batch_max: 8,
+        batch_wait: Duration::from_millis(20),
+        ..ServeConfig::default()
+    };
+    let service = RetrievalService::start(system, config).unwrap();
+    let clients: Vec<_> = videos.iter().map(|_| service.client(None, None)).collect();
+    let release = Barrier::new(videos.len());
+    let mut bursts = Vec::new();
+    while bursts.len() < MAX_BURSTS && service.stats().max_batch < 2 {
+        bursts.push(std::thread::scope(|scope| {
+            let handles: Vec<_> = clients
                 .iter()
-                .map(|v| {
-                    let client = service.client(None, None);
-                    scope.spawn(move || client.retrieve(v).unwrap())
+                .zip(&videos)
+                .map(|(client, video)| {
+                    let release = &release;
+                    scope.spawn(move || {
+                        release.wait();
+                        client.retrieve(video).unwrap()
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect::<Vec<_>>()
-        });
-        let stats = service.shutdown();
-        assert!(
-            stats.max_batch >= 2,
-            "expected at least one coalesced batch, histogram {:?}",
-            stats.batch_hist
-        );
+        }));
     }
+    let stats = service.shutdown();
+    assert!(
+        stats.max_batch >= 2,
+        "no coalesced batch in {} bursts, histogram {:?}",
+        bursts.len(),
+        stats.batch_hist
+    );
 
     // Same seed, batching disabled: every request is its own batch.
     let (system, _ds) = make_system(502, false);
     let config = ServeConfig { workers: 1, batch_max: 1, ..ServeConfig::default() };
     let service = RetrievalService::start(system, config).unwrap();
     let client = service.client(None, None);
-    for (video, batched) in videos.iter().zip(&batched_lists) {
-        let lone = client.retrieve(video).unwrap();
-        assert_eq!(&lone, batched, "micro-batching changed a retrieval list");
+    let lone: Vec<_> = videos.iter().map(|v| client.retrieve(v).unwrap()).collect();
+    for batched in &bursts {
+        assert_eq!(batched, &lone, "micro-batching changed a retrieval list");
     }
     let stats = service.shutdown();
     assert_eq!(stats.max_batch, 1);

@@ -39,7 +39,7 @@ mod tensor;
 pub use conv::{col2im3d, im2col3d, Conv3dSpec};
 pub use error::TensorError;
 pub use json::{Json, ToJson};
-pub use matmul::{gemm_im2col3d, gemm_im2col3d_t, matmul_into, matmul_into_reference, PackedA};
+pub use matmul::{gemm_im2col3d, gemm_im2col3d_t, matmul_into, matmul_into_reference};
 pub use pool::{avg_pool3d, avg_pool3d_backward, max_pool3d, max_pool3d_backward, Pool3dSpec};
 pub use rng::{RandomSource, Rng64, Xoshiro256pp};
 pub use shape::Shape;

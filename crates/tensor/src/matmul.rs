@@ -4,12 +4,11 @@
 //! via im2col, so GEMM dominates the runtime of every model
 //! forward/backward pass in the workspace. It has one path: both
 //! operands are packed once per call — A into 8-row interleaved blocks
-//! ([`PackedA`], reusable across calls that share a left operand), B
-//! into [`NR2`]-column depth-major strips ([`PackedB`]) — and a
-//! hand-unrolled `8 × NR2` two-accumulator micro-kernel ([`micro_8w`],
-//! with [`micro_8n`] for the narrow final strip) sweeps 8 output rows
-//! across the full depth in one register pass. Remainder rows (fewer
-//! than 8 at the bottom) run the 4-row/1-row tail kernels.
+//! ([`PackedA`]), B into [`NR2`]-column depth-major strips ([`PackedB`])
+//! — and a hand-unrolled `8 × NR2` two-accumulator micro-kernel
+//! ([`micro_8w`], with [`micro_8n`] for the narrow final strip) sweeps 8
+//! output rows across the full depth in one register pass. Remainder
+//! rows (fewer than 8 at the bottom) run the 4-row/1-row tail kernels.
 //! [`gemm_im2col3d`] is the convolution forward: it lowers its input row
 //! by row straight into the packed B strips, so the im2col matrix is
 //! never materialized. [`gemm_im2col3d_t`] is the convolution weight
@@ -145,8 +144,8 @@ mod workspace {
 // Packed operands
 // ---------------------------------------------------------------------
 
-/// The left GEMM operand packed for the wide micro-kernel, reusable
-/// across calls ([`gemm_im2col3d`]).
+/// The left GEMM operand packed once per call for the wide
+/// micro-kernel.
 ///
 /// Layout: rows are grouped into blocks of 8 (`MR8`); within block `b`,
 /// element `a[8b + r][p]` lives at `data[8bk + 8p + r]`, so the wide
@@ -157,37 +156,14 @@ mod workspace {
 /// doubles as a row-major matrix for rows past the last full block, which
 /// is how the 4-row/1-row tail kernels read it.
 ///
-/// Dropping a `PackedA` returns its buffer to the workspace bin. A
-/// `PackedA` is a snapshot — it does not observe later writes to the
-/// tensor it was packed from, so repack after any weight update (the nn
-/// layers pack per `infer`/`infer_batch` call, which makes staleness
-/// impossible by construction).
-pub struct PackedA {
+/// Dropping a `PackedA` returns its buffer to the workspace bin.
+struct PackedA {
     data: Vec<f32>,
-    rows: usize,
-    k: usize,
-}
-
-impl std::fmt::Debug for PackedA {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PackedA").field("rows", &self.rows).field("k", &self.k).finish()
-    }
 }
 
 impl PackedA {
-    /// Packs a rank-2 tensor as a reusable left GEMM operand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] if `a` is not rank 2.
-    pub fn pack(a: &Tensor) -> Result<PackedA, TensorError> {
-        if a.rank() != 2 {
-            return Err(TensorError::RankMismatch { expected: 2, actual: a.rank(), op: "pack_a" });
-        }
-        Ok(Self::pack_slice(a.as_slice(), a.dims()[0], a.dims()[1]))
-    }
-
-    fn pack_slice(av: &[f32], rows: usize, k: usize) -> PackedA {
+    /// Packs the row-major `[rows × k]` matrix `av`.
+    fn pack(av: &[f32], rows: usize, k: usize) -> PackedA {
         let mut data = workspace::take(rows * k);
         let full = rows / MR8;
         for b in 0..full {
@@ -201,17 +177,7 @@ impl PackedA {
         }
         let tail_start = full * MR8 * k;
         data[tail_start..].copy_from_slice(&av[tail_start..rows * k]);
-        PackedA { data, rows, k }
-    }
-
-    /// Row count of the packed matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Depth (column count) of the packed matrix.
-    pub fn k(&self) -> usize {
-        self.k
+        PackedA { data }
     }
 }
 
@@ -375,16 +341,16 @@ fn scatter_b_rows(data: &mut [f32], k: usize, n: usize, p0: usize, rows: &[f32])
 /// [`TensorError::ShapeMismatch`] if the dimensions are incompatible.
 pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), TensorError> {
     let (m, k, n) = validate(a, b, out)?;
-    let pa = PackedA::pack_slice(a.as_slice(), m, k);
+    let pa = PackedA::pack(a.as_slice(), m, k);
     let pb = pack_b_slice(b.as_slice(), k, n);
     gemm_packed_stripe(&pa.data, m, k, &pb.data, n, out.as_mut_slice());
     workspace::give(pb.data);
     Ok(())
 }
 
-/// Convolution forward as one GEMM: `out = pa · im2col3d(input, spec)`,
-/// with `pa` the `[out_c, C·kt·kh·kw]` weight matrix packed once by the
-/// caller.
+/// Convolution forward as one GEMM: `out = w · im2col3d(input, spec)`,
+/// with `w` the `[out_c, C·kt·kh·kw]` weight matrix, packed on every
+/// call like [`matmul_into`]'s left operand.
 ///
 /// The column matrix is never materialized. Each of its rows is lowered
 /// into one hot row buffer and scattered straight into the packed B
@@ -396,18 +362,22 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Tenso
 ///
 /// # Errors
 ///
-/// Returns the lowering's rank/shape/geometry errors, and
-/// [`TensorError::ShapeMismatch`] if `pa`'s depth is not the lowering's
-/// row count or `out` is not `[pa.rows(), positions]`.
+/// Returns the lowering's rank/shape/geometry errors,
+/// [`TensorError::RankMismatch`] if `w` is not rank 2, and
+/// [`TensorError::ShapeMismatch`] if `w`'s depth is not the lowering's
+/// row count or `out` is not `[out_c, positions]`.
 pub fn gemm_im2col3d(
-    pa: &PackedA,
+    w: &Tensor,
     input: &Tensor,
     spec: &Conv3dSpec,
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
-    let g = validate_im2col3d(pa, input, spec, out)?;
+    let g = ColGeom::new(input, spec)?;
+    let ops = ["gemm_im2col3d", "gemm_im2col3d(out)"];
+    let m = lowered_lhs_rows(w, (g.rows, g.cols), out, ops)?;
+    let pa = PackedA::pack(w.as_slice(), m, g.rows);
     let pb = pack_b_im2col3d(input, spec, &g);
-    gemm_packed_stripe(&pa.data, pa.rows, pa.k, &pb.data, g.cols, out.as_mut_slice());
+    gemm_packed_stripe(&pa.data, m, g.rows, &pb.data, g.cols, out.as_mut_slice());
     workspace::give(pb.data);
     Ok(())
 }
@@ -435,53 +405,37 @@ pub fn gemm_im2col3d_t(
     out: &mut Tensor,
 ) -> Result<(), TensorError> {
     let g = ColGeom::new(input, spec)?;
-    if a.rank() != 2 {
-        return Err(TensorError::RankMismatch { expected: 2, actual: a.rank(), op: "gemm_im2col3d_t" });
-    }
-    let m = a.dims()[0];
-    if a.dims()[1] != g.cols {
-        return Err(TensorError::ShapeMismatch {
-            lhs: a.dims().to_vec(),
-            rhs: vec![g.cols, g.rows],
-            op: "gemm_im2col3d_t",
-        });
-    }
-    if out.dims() != [m, g.rows] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: out.dims().to_vec(),
-            rhs: vec![m, g.rows],
-            op: "gemm_im2col3d_t(out)",
-        });
-    }
-    let pa = PackedA::pack_slice(a.as_slice(), m, g.cols);
+    let ops = ["gemm_im2col3d_t", "gemm_im2col3d_t(out)"];
+    let m = lowered_lhs_rows(a, (g.cols, g.rows), out, ops)?;
+    let pa = PackedA::pack(a.as_slice(), m, g.cols);
     let pb = pack_bt_im2col3d(input, spec, &g);
     gemm_packed_stripe(&pa.data, m, g.cols, &pb.data, g.rows, out.as_mut_slice());
     workspace::give(pb.data);
     Ok(())
 }
 
-fn validate_im2col3d(
-    pa: &PackedA,
-    input: &Tensor,
-    spec: &Conv3dSpec,
+/// Checks `a` as the `[m, k]` left operand of a product with a lowered
+/// `[k, n]` right operand and `out` as its `[m, n]` output, returning
+/// `m`. `ops` names the operand check and the output check.
+fn lowered_lhs_rows(
+    a: &Tensor,
+    (k, n): (usize, usize),
     out: &Tensor,
-) -> Result<ColGeom, TensorError> {
-    let g = ColGeom::new(input, spec)?;
-    if pa.k != g.rows {
-        return Err(TensorError::ShapeMismatch {
-            lhs: vec![pa.rows, pa.k],
-            rhs: vec![g.rows, g.cols],
-            op: "gemm_im2col3d",
-        });
+    ops: [&'static str; 2],
+) -> Result<usize, TensorError> {
+    if a.rank() != 2 {
+        return Err(TensorError::RankMismatch { expected: 2, actual: a.rank(), op: ops[0] });
     }
-    if out.dims() != [pa.rows, g.cols] {
-        return Err(TensorError::ShapeMismatch {
-            lhs: out.dims().to_vec(),
-            rhs: vec![pa.rows, g.cols],
-            op: "gemm_im2col3d(out)",
-        });
+    let m = a.dims()[0];
+    if a.dims()[1] != k {
+        let lhs = a.dims().to_vec();
+        return Err(TensorError::ShapeMismatch { lhs, rhs: vec![k, n], op: ops[0] });
     }
-    Ok(g)
+    if out.dims() != [m, n] {
+        let lhs = out.dims().to_vec();
+        return Err(TensorError::ShapeMismatch { lhs, rhs: vec![m, n], op: ops[1] });
+    }
+    Ok(m)
 }
 
 /// The seed's streaming i·k·j kernel: the oracle every other path is
@@ -863,7 +817,7 @@ mod tests {
         ] {
             let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
             let b = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-            let pa = PackedA::pack(&a).unwrap();
+            let pa = PackedA::pack(a.as_slice(), m, k);
             let pb = pack_b_slice(b.as_slice(), k, n);
             let mut fast = Tensor::full(&[m, n], f32::NAN);
             gemm_packed_stripe(&pa.data, m, k, &pb.data, n, fast.as_mut_slice());
@@ -897,9 +851,7 @@ mod tests {
         let rows = 10;
         let k = 3;
         let a = Tensor::from_vec((0..rows * k).map(|x| x as f32).collect(), &[rows, k]).unwrap();
-        let pa = PackedA::pack(&a).unwrap();
-        assert_eq!(pa.rows(), rows);
-        assert_eq!(pa.k(), k);
+        let pa = PackedA::pack(a.as_slice(), rows, k);
         let av = a.as_slice();
         for p in 0..k {
             for r in 0..MR8 {
@@ -911,24 +863,10 @@ mod tests {
 
     /// A `[k, n]` right operand as a `[k, 1, 1, n]` clip under a unit
     /// 1×1×1 kernel, whose im2col lowering is the identity reshape: it
-    /// lets [`gemm_im2col3d`] stand in for a plain packed-A GEMM.
+    /// lets [`gemm_im2col3d`] stand in for a plain GEMM.
     fn unit_conv(b: &Tensor) -> (Tensor, Conv3dSpec) {
         let (k, n) = (b.dims()[0], b.dims()[1]);
         (b.reshape(&[k, 1, 1, n]).unwrap(), Conv3dSpec::cubic(k, 1, (1, 1, 1), 0))
-    }
-
-    #[test]
-    fn packed_a_is_reused_across_right_operands() {
-        let mut rng = Rng64::new(23);
-        let a = Tensor::randn(&[11, 19], 1.0, rng.as_rng());
-        let pa = PackedA::pack(&a).unwrap();
-        for _ in 0..3 {
-            let b = Tensor::randn(&[19, 23], 1.0, rng.as_rng());
-            let (x, spec) = unit_conv(&b);
-            let mut got = Tensor::zeros(&[11, 23]);
-            gemm_im2col3d(&pa, &x, &spec, &mut got).unwrap();
-            assert_eq!(bits(&reference(&a, &b)), bits(&got));
-        }
     }
 
     #[test]
@@ -973,18 +911,17 @@ mod tests {
 
     #[test]
     fn packed_entry_points_validate_shapes() {
-        let a = Tensor::zeros(&[2, 3]);
-        let pa = PackedA::pack(&a).unwrap();
+        let w = Tensor::zeros(&[2, 3]);
         let (x, spec) = unit_conv(&Tensor::zeros(&[3, 4]));
         let mut out = Tensor::zeros(&[2, 4]);
         let (bad_x, bad_spec) = unit_conv(&Tensor::zeros(&[4, 4]));
-        assert!(gemm_im2col3d(&pa, &bad_x, &bad_spec, &mut out).is_err(), "depth mismatch");
-        assert!(gemm_im2col3d(&pa, &bad_x, &spec, &mut out).is_err(), "channel mismatch");
-        assert!(gemm_im2col3d(&pa, &Tensor::zeros(&[3, 4]), &spec, &mut out).is_err(), "rank");
+        assert!(gemm_im2col3d(&w, &bad_x, &bad_spec, &mut out).is_err(), "depth mismatch");
+        assert!(gemm_im2col3d(&w, &bad_x, &spec, &mut out).is_err(), "channel mismatch");
+        assert!(gemm_im2col3d(&w, &Tensor::zeros(&[3, 4]), &spec, &mut out).is_err(), "rank");
         let mut bad_out = Tensor::zeros(&[2, 3]);
-        assert!(gemm_im2col3d(&pa, &x, &spec, &mut bad_out).is_err());
-        assert!(PackedA::pack(&Tensor::zeros(&[3])).is_err());
-        assert!(gemm_im2col3d(&pa, &x, &spec, &mut out).is_ok());
+        assert!(gemm_im2col3d(&w, &x, &spec, &mut bad_out).is_err());
+        assert!(gemm_im2col3d(&Tensor::zeros(&[6]), &x, &spec, &mut out).is_err(), "weight rank");
+        assert!(gemm_im2col3d(&w, &x, &spec, &mut out).is_ok());
     }
 
     #[test]
@@ -1025,10 +962,9 @@ mod tests {
         let mut rng = Rng64::new(17);
         let a = Tensor::randn(&[16, 20], 1.0, rng.as_rng());
         let b = Tensor::randn(&[20, 24], 1.0, rng.as_rng());
-        let pa = PackedA::pack(&a).unwrap();
         let (x, spec) = unit_conv(&b);
         let mut stale = Tensor::full(&[16, 24], f32::NAN);
-        gemm_im2col3d(&pa, &x, &spec, &mut stale).unwrap();
+        gemm_im2col3d(&a, &x, &spec, &mut stale).unwrap();
         assert_eq!(bits(&reference(&a, &b)), bits(&stale), "NaN canary leaked into output");
     }
 

@@ -69,9 +69,8 @@ DUO_SCALE=smoke cargo bench --offline -p duo-bench --bench index
 
 # Index sweep smoke: asserts the equivalence contracts (IVF full probe
 # == exact; PQ full probe + full-depth rerank bit-identical to
-# exact), that recall audits fire on live IVF traffic, and that the
-# per-mode breakdown attributes PQ audits to the pq bucket with live
-# code-byte counters.
+# exact), and that recall audits fire on live IVF and PQ traffic with
+# live code-byte counters.
 DUO_SCALE=smoke cargo run --release --offline -p duo-experiments --bin index_sweep
 
 # Kernel + serving + epoch bench smokes: the GEMM bench asserts the

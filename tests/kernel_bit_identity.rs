@@ -7,9 +7,8 @@
 //! packing and tiling can never move a bit. The generated shapes land on
 //! every `MR`/`NR` tile remainder class and every 8-row block remainder.
 //!
-//! A `PackedA` reused across right operands must equal the oracle on each
-//! product, and every 8-row block remainder class must survive the packed
-//! kernel's full-depth store schedule. The convolution forward lowers its
+//! Every 8-row block remainder class must survive the packed kernel's
+//! full-depth store schedule. The convolution forward lowers its
 //! input straight into the packed B strips; over strides, pads, kernel
 //! extents and output widths it must equal the oracle against the
 //! materialized `im2col3d` matrix. The convolution weight gradient
@@ -25,7 +24,7 @@
 use duo_check::{check, prop_assert_eq, Config, Strategy};
 use duo_tensor::{
     gemm_im2col3d, gemm_im2col3d_t, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec,
-    PackedA, Rng64, Tensor,
+    Rng64, Tensor,
 };
 use std::ops::Range;
 
@@ -82,30 +81,6 @@ check! {
         prop_assert_eq!(bits(&reference(&a, &b)), bits(&packed), "({m},{k},{n}) drifted");
     }
 
-    fn packed_a_reuse_is_bitwise_fresh(m in dim(), k in dim(), n in dim(), s in seed()) {
-        let mut rng = Rng64::new(s);
-        let a = Tensor::randn(&[m, k], 1.0, rng.as_rng());
-        let b1 = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-        let b2 = Tensor::randn(&[k, n], 1.0, rng.as_rng());
-        let packed = PackedA::pack(&a).unwrap();
-        // One packing, two right operands — the reuse pattern of
-        // `Conv3d::infer_batch` — must match the oracle on both products.
-        // A `[k, n]` operand is a `[k, 1, 1, n]` clip under a unit 1×1×1
-        // kernel, whose lowering is the identity reshape, so the
-        // convolution forward keeps this property's GEMM shapes.
-        let unit = Conv3dSpec::cubic(k, 1, (1, 1, 1), 0);
-        for bmat in [&b1, &b2] {
-            let clip = bmat.reshape(&[k, 1, 1, n]).unwrap();
-            let mut reused = Tensor::full(&[m, n], f32::NAN);
-            gemm_im2col3d(&packed, &clip, &unit, &mut reused).unwrap();
-            prop_assert_eq!(
-                bits(&reference(&a, bmat)),
-                bits(&reused),
-                "({m},{k},{n}) packed-A reuse drifted from the oracle"
-            );
-        }
-    }
-
     fn packed_lowering_is_bitwise_im2col_gemm(
         ocs in (1usize..20, 1usize..4, seed()),
         thw in (1usize..7, 1usize..9, 1usize..40),
@@ -138,9 +113,8 @@ check! {
         let cols = im2col3d(&input, &spec).unwrap();
         let weight = Tensor::randn(&[oc, cols.dims()[0]], 1.0, rng.as_rng());
         let want = reference(&weight, &cols);
-        let packed = PackedA::pack(&weight).unwrap();
         let mut fused = Tensor::full(want.dims(), f32::NAN);
-        gemm_im2col3d(&packed, &input, &spec, &mut fused).unwrap();
+        gemm_im2col3d(&weight, &input, &spec, &mut fused).unwrap();
         prop_assert_eq!(bits(&want), bits(&fused), "[{chans},{t},{h},{w}] oc{oc} {spec:?}");
     }
 
@@ -200,9 +174,8 @@ check! {
         let want = reference(&weight, &im2col3d(&input, &spec).unwrap());
 
         // Inference conv3d: the lowering packed straight into B strips.
-        let packed = PackedA::pack(&weight).unwrap();
         let mut out = Tensor::full(&[oc, cols], f32::NAN);
-        gemm_im2col3d(&packed, &input, &spec, &mut out).unwrap();
+        gemm_im2col3d(&weight, &input, &spec, &mut out).unwrap();
         prop_assert_eq!(
             bits(&want),
             bits(&out),
@@ -280,8 +253,7 @@ fn concurrent_callers_are_bitwise_reference() {
                         // identity reshape of `b`.
                         let clip = b.reshape(&[k, 1, 1, n]).unwrap();
                         let unit = Conv3dSpec::cubic(k, 1, (1, 1, 1), 0);
-                        let packed = PackedA::pack(&a).unwrap();
-                        gemm_im2col3d(&packed, &clip, &unit, &mut out).unwrap();
+                        gemm_im2col3d(&a, &clip, &unit, &mut out).unwrap();
                     }
                     assert_eq!(want, bits(&out), "thread {t} call {call} ({m},{k},{n})");
                 }
