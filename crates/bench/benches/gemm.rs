@@ -25,19 +25,26 @@
 //! replaced, so the rule trips if the 8-row kernel is quietly swapped
 //! out.
 //!
-//! The convolution weight gradient is timed the same way, at both
-//! scales, on C3D conv1 at experiment geometry (a [3, 16, 32, 32] clip,
-//! 3×3×3 kernel, stride (1, 2, 2), pad 1, 8 output channels: an
-//! 8 × 4096 output gradient against the 81 × 4096 lowering):
+//! The convolution forward and weight gradient are timed the same way,
+//! at both scales, on C3D conv1 at experiment geometry (a [3, 16, 32, 32]
+//! clip, 3×3×3 kernel, stride (1, 2, 2), pad 1, 8 output channels: an
+//! 8 × 81 weight and an 8 × 4096 output gradient against the 81 × 4096
+//! lowering):
 //!
-//! * `wgrad_conv1/lowered` — `gemm_im2col3d_t`, each column-matrix row
-//!   lowered straight into the packed strips of the transposed operand;
+//! * `fwd_conv1/lowered` — `gemm_im2col3d`, the input split once into
+//!   its zero-padded stride phases and lowered one packed strip at a
+//!   time, each strip swept before the next is lowered;
+//! * `fwd_conv1/materialized` — the best alternative that builds the
+//!   matrix: `im2col3d`, then `matmul_into`;
+//! * `wgrad_conv1/lowered` — `gemm_im2col3d_t`, the strips of the
+//!   transposed operand lowered the same way, one at a time;
 //! * `wgrad_conv1/materialized` — the path it replaced and the best
 //!   alternative that builds the matrix: `im2col3d`, `transpose`, then
 //!   `matmul_into`.
 //!
-//! Their outputs are asserted bit-identical before timing, and the rule
-//! `lowered <= F * materialized` sits between the two paths' ratios.
+//! Each pair's outputs are asserted bit-identical before timing, and
+//! each rule `lowered <= F * materialized` sits between the lowered
+//! path's ratio and the ratio of the lowering it replaced.
 //!
 //! Results land in `BENCH_gemm.json` at the repo root; `DUO_SCALE=smoke`
 //! shrinks the GEMM shapes for the verify gate and writes under
@@ -46,7 +53,8 @@
 
 use duo_bench::Runner;
 use duo_tensor::{
-    gemm_im2col3d_t, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec, Rng64, Tensor,
+    gemm_im2col3d, gemm_im2col3d_t, im2col3d, matmul_into, matmul_into_reference, Conv3dSpec,
+    Rng64, Tensor,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -110,6 +118,7 @@ fn main() {
         });
     }
 
+    bench_conv1_forward(&mut runner);
     bench_conv1_weight_gradient(&mut runner);
 
     // Speedup vs the seed kernel, from the recorded trimmed means.
@@ -137,44 +146,71 @@ fn main() {
     runner.finish();
 }
 
-/// C3D conv1's weight gradient `g · im2col3d(x)ᵀ`, lowered against
-/// materialized, sampled interleaved like the GEMM shapes.
-fn bench_conv1_weight_gradient(runner: &mut Runner) {
-    let spec = Conv3dSpec::cubic(3, 3, (1, 2, 2), 1);
+/// C3D conv1 at experiment geometry: the spec and a seeded clip.
+fn conv1() -> (Conv3dSpec, Tensor, Rng64) {
     let mut rng = Rng64::new(0xC3D1);
     let x = Tensor::randn(&[3, 16, 32, 32], 1.0, rng.as_rng());
-    let g = Tensor::randn(&[8, 16 * 16 * 16], 1.0, rng.as_rng());
-    let materialized = |g: &Tensor, x: &Tensor, out: &mut Tensor| {
-        let cols_t = im2col3d(x, &spec).unwrap().transpose().unwrap();
-        matmul_into(g, &cols_t, out).unwrap();
-    };
+    (Conv3dSpec::cubic(3, 3, (1, 2, 2), 1), x, rng)
+}
 
-    let mut want = Tensor::full(&[8, 81], f32::NAN);
-    materialized(&g, &x, &mut want);
-    let mut out = Tensor::full(&[8, 81], f32::NAN);
-    gemm_im2col3d_t(&g, &x, &spec, &mut out).unwrap();
-    assert_eq!(bits(&want), bits(&out), "gemm/wgrad_conv1 lowered drifted from materialized");
+/// Times `tag`'s `lowered` (entry 0) against its `materialized` (entry
+/// 1), interleaved like the GEMM shapes, after asserting the two write
+/// the same bits into an `out_dims` output.
+fn bench_lowered_pair(
+    runner: &mut Runner,
+    tag: &str,
+    out_dims: &[usize],
+    mut run: impl FnMut(usize, &mut Tensor),
+) {
+    let mut want = Tensor::full(out_dims, f32::NAN);
+    run(1, &mut want);
+    let mut out = Tensor::full(out_dims, f32::NAN);
+    run(0, &mut out);
+    assert_eq!(bits(&want), bits(&out), "gemm/{tag} lowered drifted from materialized");
 
-    let names = ["gemm/wgrad_conv1/lowered", "gemm/wgrad_conv1/materialized"];
-    let mut run = |entry: usize| {
-        let (g, x) = (black_box(&g), black_box(&x));
-        if entry == 0 {
-            gemm_im2col3d_t(g, x, &spec, &mut out).unwrap();
-        } else {
-            materialized(g, x, &mut out);
-        }
-        black_box(&mut out);
-    };
+    let names = [format!("gemm/{tag}/lowered"), format!("gemm/{tag}/materialized")];
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
     runner.bench_interleaved(&names, |entry| {
-        run(entry);
+        run(entry, &mut out);
         let start = Instant::now();
-        run(entry);
+        run(entry, &mut out);
+        black_box(&mut out);
         start.elapsed().as_secs_f64()
     });
     let stat = |name: &str| {
         runner.results().iter().find(|r| r.name == name).map(|r| r.trimmed_mean_s)
     };
     if let (Some(lowered), Some(materialized)) = (stat(names[0]), stat(names[1])) {
-        println!("gemm/wgrad_conv1: lowered/materialized ratio {:.3}", lowered / materialized);
+        println!("gemm/{tag}: lowered/materialized ratio {:.3}", lowered / materialized);
     }
+}
+
+/// C3D conv1's forward `w · im2col3d(x)`, lowered against materialized.
+fn bench_conv1_forward(runner: &mut Runner) {
+    let (spec, x, mut rng) = conv1();
+    let w = Tensor::randn(&[8, 81], 1.0, rng.as_rng());
+    bench_lowered_pair(runner, "fwd_conv1", &[8, 16 * 16 * 16], |entry, out| {
+        let (w, x) = (black_box(&w), black_box(&x));
+        if entry == 0 {
+            gemm_im2col3d(w, x, &spec, out).unwrap();
+        } else {
+            matmul_into(w, &im2col3d(x, &spec).unwrap(), out).unwrap();
+        }
+    });
+}
+
+/// C3D conv1's weight gradient `g · im2col3d(x)ᵀ`, lowered against
+/// materialized.
+fn bench_conv1_weight_gradient(runner: &mut Runner) {
+    let (spec, x, mut rng) = conv1();
+    let g = Tensor::randn(&[8, 16 * 16 * 16], 1.0, rng.as_rng());
+    bench_lowered_pair(runner, "wgrad_conv1", &[8, 81], |entry, out| {
+        let (g, x) = (black_box(&g), black_box(&x));
+        if entry == 0 {
+            gemm_im2col3d_t(g, x, &spec, out).unwrap();
+        } else {
+            let cols_t = im2col3d(x, &spec).unwrap().transpose().unwrap();
+            matmul_into(g, &cols_t, out).unwrap();
+        }
+    });
 }

@@ -94,8 +94,9 @@ pub const SKETCH_CELLS: usize = SKETCH_T * SKETCH_Y * SKETCH_X;
 /// a high-frequency residual that natural (smooth-ish) content keeps low
 /// and dense adversarial noise lifts.
 ///
-/// Sketching is a single O(pixels) pass with a fixed accumulation order,
-/// so equal videos always produce bit-equal sketches. The sketch is
+/// Sketching is O(pixels) with a fixed result: equal videos always
+/// produce bit-equal sketches ([`ClipSketch::of`] equals the serial
+/// reference pass, [`ClipSketch::serial`], bit for bit). The sketch is
 /// computed *outside* any service lock: it is a pure function of the
 /// submitted (already quantized) video.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,9 +107,21 @@ pub struct ClipSketch {
     pub energy: f32,
 }
 
+/// 2^24: below it every integer is an f32, so sums of non-negative
+/// integers that stay below it are exact in any order.
+const EXACT_BOUND: f32 = 16_777_216.0;
+
 impl ClipSketch {
-    /// Builds the sketch of a video clip.
+    /// Builds the sketch of a video clip: [`ClipSketch::exact`] where it
+    /// applies, the serial pass otherwise, with the same bits either way.
     pub fn of(video: &Video) -> ClipSketch {
+        ClipSketch::exact(video).unwrap_or_else(|| ClipSketch::serial(video))
+    }
+
+    /// The reference sketch: one serial pass in pixel order, folding each
+    /// pixel into its cell's f32 sum and each horizontal neighbor
+    /// difference into one f32 energy sum.
+    pub fn serial(video: &Video) -> ClipSketch {
         let spec = video.spec();
         let (frames, h, w, c) = (spec.frames, spec.height, spec.width, spec.channels);
         let px = video.tensor().as_slice();
@@ -137,8 +150,73 @@ impl ClipSketch {
                 }
             }
         }
+        ClipSketch::finish(&sums, &counts, energy_sum, energy_n)
+    }
+
+    /// The sketch summed in lanes, or `None` where that is not provably
+    /// the serial pass's result.
+    ///
+    /// The service sketches quantized clips, whose pixels are integers in
+    /// `[0, 255]`. Every term the serial pass adds is then a non-negative
+    /// integer (a pixel, or the absolute difference of two), and while a
+    /// total stays below 2^24 every partial sum on the way to it is an
+    /// integer below 2^24 too, which f32 holds exactly: the serial pass
+    /// rounds nothing, and any other summation order gives the same bits.
+    /// So this pass first checks every pixel (`0 ≤ v ≤ 255` and `v ==
+    /// v.trunc()`: −0.0 passes, NaN fails), then sums each row into the
+    /// column accumulators of its `(t, y)` cell band and its horizontal
+    /// differences into per-column energy accumulators — elementwise
+    /// lanes — and splits the columns into cells last. A computed total
+    /// below 2^24 proves no sum on its way was rounded (a rounded one
+    /// would be ≥ 2^24, and adding non-negative terms keeps it there), so
+    /// it returns `None` when the check fails or any cell or energy total
+    /// reaches 2^24.
+    pub fn exact(video: &Video) -> Option<ClipSketch> {
+        let spec = video.spec();
+        let (frames, h, w, c) = (spec.frames, spec.height, spec.width, spec.channels);
+        let px = video.tensor().as_slice();
+        let integral = px.iter().fold(true, |ok, &v| ok & (0.0..=255.0).contains(&v) & (v == v.trunc()));
+        let rw = w * c;
+        if !integral || rw == 0 {
+            return None;
+        }
+        // Column sums of each `(ct, cy)` band, and the row count of each.
+        let mut bands = vec![0.0f32; SKETCH_T * SKETCH_Y * rw];
+        let mut band_rows = [0u32; SKETCH_T * SKETCH_Y];
+        let mut diffs = vec![0.0f32; rw - c];
+        for (r, row) in px.chunks_exact(rw).enumerate() {
+            let ct = (r / h * SKETCH_T / frames).min(SKETCH_T - 1);
+            let cy = (r % h * SKETCH_Y / h).min(SKETCH_Y - 1);
+            let band = ct * SKETCH_Y + cy;
+            band_rows[band] += 1;
+            for (a, &v) in bands[band * rw..][..rw].iter_mut().zip(row) {
+                *a += v;
+            }
+            for (d, (&v, &next)) in diffs.iter_mut().zip(row.iter().zip(&row[c..])) {
+                *d += (v - next).abs();
+            }
+        }
+        let mut sums = [0.0f32; SKETCH_CELLS];
+        let mut counts = [0u32; SKETCH_CELLS];
+        for (band, cols) in bands.chunks_exact(rw).enumerate() {
+            for (x, col) in cols.chunks_exact(c).enumerate() {
+                let cell = band * SKETCH_X + (x * SKETCH_X / w).min(SKETCH_X - 1);
+                sums[cell] += col.iter().fold(0.0, |a, &v| a + v);
+                counts[cell] += band_rows[band] * c as u32;
+            }
+        }
+        let energy_sum = diffs.iter().fold(0.0f32, |a, &d| a + d);
+        if energy_sum >= EXACT_BOUND || sums.iter().any(|&s| s >= EXACT_BOUND) {
+            return None;
+        }
+        let energy_n = (frames * h * (w - 1) * c) as u64;
+        Some(ClipSketch::finish(&sums, &counts, energy_sum, energy_n))
+    }
+
+    /// Cell means and the mean energy from the totals.
+    fn finish(sums: &[f32; SKETCH_CELLS], counts: &[u32; SKETCH_CELLS], energy_sum: f32, energy_n: u64) -> ClipSketch {
         let mut cells = [0.0f32; SKETCH_CELLS];
-        for (out, (s, n)) in cells.iter_mut().zip(sums.iter().zip(&counts)) {
+        for (out, (s, n)) in cells.iter_mut().zip(sums.iter().zip(counts)) {
             *out = s / (*n).max(1) as f32;
         }
         let energy = if energy_n == 0 { 0.0 } else { energy_sum / energy_n as f32 };

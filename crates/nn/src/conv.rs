@@ -8,19 +8,21 @@ use duo_tensor::{col2im3d, gemm_im2col3d, gemm_im2col3d_t, matmul_into, Conv3dSp
 /// `duo-models` are expressed without a separate 2-D code path.
 ///
 /// Forward is `W · im2col(x)` through one kernel,
-/// [`duo_tensor::gemm_im2col3d`], which packs the weight and lowers the
-/// input straight into the GEMM's packed operand, never building the
+/// [`duo_tensor::gemm_im2col3d`], which takes the rank-5 weight as it
+/// is (its buffer already is the `[out_c, C·kt·kh·kw]` matrix), packs it,
+/// and lowers the input one packed strip at a time, never building the
 /// column matrix: [`Layer::infer`] runs it, and the training
 /// [`Layer::forward`] is `infer` plus a cached input, so their outputs
 /// are bit-identical.
 /// The training forward caches only its input. Backward lowers that
-/// input again for the weight gradient `g · im2col(x)ᵀ`, straight into
-/// the packed operand of the transposed matrix
+/// input again for the weight gradient `g · im2col(x)ᵀ`, strip by strip
+/// into the packed operand of the transposed matrix
 /// ([`duo_tensor::gemm_im2col3d_t`]), and folds the input gradient
 /// `col2im(Wᵀ · g)` back with the run kernel of
-/// [`duo_tensor::col2im3d`]; each side runs only when its gradient is
-/// asked for ([`Grads`]). Correctness of both reduces to the adjoint
-/// identity tested in `duo-tensor`.
+/// [`duo_tensor::col2im3d`], `Wᵀ` transposed straight from the weight's
+/// buffer; each side runs only when its gradient is asked for
+/// ([`Grads`]). Correctness of both reduces to the adjoint identity
+/// tested in `duo-tensor`.
 pub struct Conv3d {
     weight: Param,
     bias: Param,
@@ -71,11 +73,17 @@ impl Conv3d {
         Ok(self.spec.output_thw(t, h, w)?)
     }
 
-    /// The weight as the `[out_c, C·kt·kh·kw]` matrix the lowering
-    /// multiplies.
-    fn weight_matrix(&self) -> Result<Tensor> {
-        let k = self.spec.in_channels * self.spec.kt * self.spec.kh * self.spec.kw;
-        Ok(self.weight.value.reshape(&[self.out_channels, k])?)
+    /// `Wᵀ`, the `[C·kt·kh·kw, out_c]` transpose of the weight matrix,
+    /// read straight from the rank-5 weight's row-major buffer.
+    fn weight_transposed(&self, k: usize) -> Result<Tensor> {
+        let (oc, wv) = (self.out_channels, self.weight.value.as_slice());
+        let mut wt = vec![0.0; k * oc];
+        for o in 0..oc {
+            for p in 0..k {
+                wt[p * oc + o] = wv[o * k + p];
+            }
+        }
+        Ok(Tensor::from_vec(wt, &[k, oc])?)
     }
 
     /// Adds the per-channel bias to a `[out_c, positions]` product, last,
@@ -115,7 +123,7 @@ impl Layer for Conv3d {
         let out_thw = self.out_thw(input)?;
         let positions = out_thw.0 * out_thw.1 * out_thw.2;
         let mut out = Tensor::zeros(&[self.out_channels, positions]);
-        gemm_im2col3d(&self.weight_matrix()?, input, &self.spec, &mut out)?;
+        gemm_im2col3d(&self.weight.value, input, &self.spec, &mut out)?;
         self.finish(out, out_thw)
     }
 
@@ -133,15 +141,15 @@ impl Layer for Conv3d {
                 ),
             });
         }
-        let g = grad_out.reshape(&[self.out_channels, positions])?;
         let k = self.spec.in_channels * self.spec.kt * self.spec.kh * self.spec.kw;
 
         if grads.params() {
             // dW = g · im2col(x)ᵀ, db = row sums of g.
             let mut wgrad = Tensor::zeros(&[self.out_channels, k]);
-            gemm_im2col3d_t(&g, &cache.input, &self.spec, &mut wgrad)?;
-            self.weight.grad.axpy(1.0, &wgrad.reshape(self.weight.value.dims())?)?;
-            let gv = g.as_slice();
+            gemm_im2col3d_t(grad_out, &cache.input, &self.spec, &mut wgrad)?;
+            let wgrad = Tensor::from_vec(wgrad.into_vec(), self.weight.value.dims())?;
+            self.weight.grad.axpy(1.0, &wgrad)?;
+            let gv = grad_out.as_slice();
             let bg = self.bias.grad.as_mut_slice();
             for o in 0..self.out_channels {
                 bg[o] += gv[o * positions..(o + 1) * positions].iter().sum::<f32>();
@@ -152,7 +160,8 @@ impl Layer for Conv3d {
         }
 
         // Input gradient: col2im(Wᵀ · g).
-        let wt = self.weight_matrix()?.transpose()?;
+        let wt = self.weight_transposed(k)?;
+        let g = grad_out.reshape(&[self.out_channels, positions])?;
         let mut gcols = Tensor::zeros(&[k, positions]);
         matmul_into(&wt, &g, &mut gcols)?;
         let dims = cache.input.dims();

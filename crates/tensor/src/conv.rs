@@ -8,16 +8,23 @@
 //! convolution is the `kt = 1` case; the per-frame ResNet backbones are
 //! built that way.
 //!
-//! The lowering is one run kernel ([`im2col3d_row`]) that writes one row
-//! of the column matrix at a time, and its adjoint ([`col2im3d_row`])
-//! folds one row back. Nothing on the model path materializes the
-//! matrix: [`crate::gemm_im2col3d`] (the convolution forward) streams
-//! the rows straight into the GEMM's packed B strips, and
-//! [`crate::gemm_im2col3d_t`] (the weight gradient) streams them into
-//! the strips of the transposed operand. [`im2col3d`] still builds the
-//! whole matrix, as the reference the tests and benches compare those
-//! two against.
+//! Every lowering starts from one [`PhaseSplit`]: a zero-padded copy of
+//! the input whose padded rows are split into their `sw` stride phases,
+//! so that each column-matrix run — one input channel, one kernel tap
+//! `(kz, ky, kx)`, one output row `(oz, oy)` — is one contiguous slice of
+//! it, and lowering is run copies with no bounds test and no strided
+//! gather. Nothing on the model path materializes the matrix:
+//! [`crate::gemm_im2col3d`] (the convolution forward) lowers it one
+//! packed GEMM strip at a time, and [`crate::gemm_im2col3d_t`] (the
+//! weight gradient) lowers its rows into the strips of the transposed
+//! operand, one strip at a time. [`im2col3d`] builds the whole matrix
+//! from the same split, as the reference the tests and benches compare
+//! those two against; the per-element lowering is the `#[cfg(test)]`
+//! oracle all three are checked by. The adjoint, [`col2im3d`], folds one
+//! column-gradient row at a time back with a run kernel
+//! ([`col2im3d_row`]).
 
+use crate::matmul::{workspace, NR2};
 use crate::{Tensor, TensorError};
 
 /// Geometry of a 3-D convolution over `[C, T, H, W]` inputs (T = frames).
@@ -93,15 +100,21 @@ impl Conv3dSpec {
 /// Unfolds a `[C, T, H, W]` input into a `[C·kt·kh·kw, out_t·out_h·out_w]`
 /// matrix.
 ///
+/// Each row is lowered from the input's phase split (the zero-padded
+/// input, split into its stride phases along `w`), as the fused GEMM
+/// paths lower theirs, so this materialized matrix is the reference they
+/// are tested and benched against; the per-element lowering stays as the
+/// `#[cfg(test)]` oracle below.
+///
 /// # Errors
 ///
 /// Returns an error for rank/shape mismatches or invalid geometry.
 pub fn im2col3d(input: &Tensor, spec: &Conv3dSpec) -> Result<Tensor, TensorError> {
     let g = ColGeom::new(input, spec)?;
+    let split = PhaseSplit::new(input, spec, &g);
     let mut out = Tensor::zeros(&[g.rows, g.cols]);
-    let iv = input.as_slice();
-    for (row, dst) in out.as_mut_slice().chunks_exact_mut(g.cols).enumerate() {
-        im2col3d_row(iv, spec, &g, row, dst);
+    for (p, dst) in out.as_mut_slice().chunks_exact_mut(g.cols).enumerate() {
+        split.lower_row(p, dst);
     }
     Ok(out)
 }
@@ -146,75 +159,192 @@ impl ColGeom {
     }
 }
 
-/// Writes row `row` of the im2col matrix (`g.cols` long) into `dst`.
+/// The input of one lowering, zero-padded and split into its `sw` stride
+/// phases along `w`, so that every column-matrix run is one contiguous
+/// slice.
 ///
-/// A row fixes one input channel and one kernel tap `(kz, ky, kx)`, so
-/// for every output `(oz, oy)` the taps it reads along `ox` form one
-/// strided run of a single input row. The valid `ox` range is computed
-/// once per row; the padding on either side is zero-filled and the
-/// interior copied, with `copy_from_slice` at unit stride. Every element
-/// is still a plain copy-or-zero, so the output is bit-identical to the
-/// per-element lowering (the `#[cfg(test)]` oracle below).
-pub(crate) fn im2col3d_row(
-    iv: &[f32],
-    spec: &Conv3dSpec,
-    g: &ColGeom,
-    row: usize,
-    dst: &mut [f32],
-) {
-    // Invert `row = ((ch·kt + kz)·kh + ky)·kw + kx`.
-    let kx = row % spec.kw;
-    let rest = row / spec.kw;
-    let ky = rest % spec.kh;
-    let rest = rest / spec.kh;
-    let kz = rest % spec.kt;
-    let ch = rest / spec.kt;
-    // Output columns whose tap `x = ox·sw + kx − pw` lands inside `[0, w)`.
-    let lo = if kx >= spec.pw { 0 } else { (spec.pw - kx).div_ceil(spec.sw) }.min(g.ow);
-    let hi = if kx >= g.w + spec.pw { 0 } else { (g.w + spec.pw - kx - 1) / spec.sw + 1 };
-    let hi = hi.clamp(lo, g.ow);
-    // First tap of the run; only read when the run is non-empty, where
-    // `lo·sw + kx ≥ pw` holds by construction.
-    let x0 = (lo * spec.sw + kx).saturating_sub(spec.pw);
-    for (oz, plane) in dst.chunks_exact_mut(g.oh * g.ow).enumerate() {
-        let Some(z) = (oz * spec.st + kz).checked_sub(spec.pt).filter(|&z| z < g.t) else {
-            plane.fill(0.0);
-            continue;
-        };
-        for (oy, out) in plane.chunks_exact_mut(g.ow).enumerate() {
-            let Some(y) = (oy * spec.sh + ky).checked_sub(spec.ph).filter(|&y| y < g.h) else {
-                out.fill(0.0);
-                continue;
-            };
-            out[..lo].fill(0.0);
-            out[hi..].fill(0.0);
-            if lo == hi {
-                continue;
-            }
-            let src = &iv[((ch * g.t + z) * g.h + y) * g.w + x0..][..g.w - x0];
-            let run = &mut out[lo..hi];
-            if spec.sw == 1 {
-                run.copy_from_slice(&src[..run.len()]);
-            } else {
-                for (o, taps) in run.iter_mut().zip(src.chunks(spec.sw)) {
-                    *o = taps[0];
+/// Padded cell `(ch, zp, yp, xp)` holds `input[ch, zp − pt, yp − ph,
+/// xp − pw]`, or 0.0 where that falls outside the input. Each padded
+/// plane `(ch, zp)` is stored as `sw` phase planes of `hp` rows by `wq =
+/// ⌈(w + 2·pw) / sw⌉` floats: row `yp` of phase plane `q` holds padded
+/// columns `q, q + sw, q + 2·sw, …` of padded row `yp`, zero past the
+/// row's end. Column-matrix row `p` — channel `ch`, tap `(kz, ky, kx)` —
+/// reads padded column `ox·sw + kx` at output column `ox`, which is
+/// element `ox + kx / sw` of phase `kx % sw`. So for each output row
+/// `(oz, oy)` its `ow` values are the slice at `taps[p] + oz·plane_step +
+/// oy·row_step`, and lowering is run copies with no bounds test and no
+/// strided gather. Building the split copies each input row once into a
+/// padded plane, which one pass then splits into its phases.
+///
+/// The buffer comes from the workspace bin and goes back on drop. Every
+/// cell is written, so its stale contents never leak.
+pub(crate) struct PhaseSplit {
+    data: Vec<f32>,
+    /// Offset of each column-matrix row's run at output row `(0, 0)`.
+    taps: Vec<usize>,
+    /// Offset from output plane `oz` to `oz + 1`: `st` padded planes.
+    plane_step: usize,
+    /// Offset from output row `oy` to `oy + 1`: `sh` phase-plane rows.
+    row_step: usize,
+    oh: usize,
+    ow: usize,
+}
+
+impl PhaseSplit {
+    /// Builds the split of `input` (already checked by [`ColGeom::new`]).
+    pub(crate) fn new(input: &Tensor, spec: &Conv3dSpec, g: &ColGeom) -> PhaseSplit {
+        let (sw, tp, hp) = (spec.sw, g.t + 2 * spec.pt, g.h + 2 * spec.ph);
+        let wq = (g.w + 2 * spec.pw).div_ceil(sw);
+        // One phase plane, and one padded plane of all `sw` phases.
+        let (pq, plane_len) = (hp * wq, sw * hp * wq);
+        let len = spec.in_channels * tp * plane_len;
+        // The split, then (when `sw > 1`) one padded plane before its
+        // phase split, whose borders stay zero.
+        let mut data = workspace::take(len + if sw > 1 { plane_len } else { 0 });
+        let (split, padded) = data.split_at_mut(len);
+        padded.fill(0.0);
+        let iv = input.as_slice();
+        for (ch, chan) in split.chunks_exact_mut(tp * plane_len).enumerate() {
+            for (zp, plane) in chan.chunks_exact_mut(plane_len).enumerate() {
+                let Some(z) = zp.checked_sub(spec.pt).filter(|&z| z < g.t) else {
+                    plane.fill(0.0);
+                    continue;
+                };
+                // At `sw = 1` the plane is its own padded plane.
+                let target = if sw == 1 {
+                    plane.fill(0.0);
+                    &mut *plane
+                } else {
+                    &mut *padded
+                };
+                let src = iv[(ch * g.t + z) * g.h * g.w..][..g.h * g.w].chunks_exact(g.w);
+                for (row, src) in target[spec.ph * sw * wq..].chunks_exact_mut(sw * wq).zip(src) {
+                    row[spec.pw..spec.pw + g.w].copy_from_slice(src);
                 }
+                match sw {
+                    1 => {}
+                    2 => {
+                        let (even, odd) = plane.split_at_mut(pq);
+                        for ((e, o), pair) in even.iter_mut().zip(odd).zip(padded.chunks_exact(2)) {
+                            *e = pair[0];
+                            *o = pair[1];
+                        }
+                    }
+                    _ => {
+                        for (m, cells) in padded.chunks_exact(sw).enumerate() {
+                            for (q, &x) in cells.iter().enumerate() {
+                                plane[q * pq + m] = x;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        data.truncate(len);
+        let mut taps = Vec::with_capacity(g.rows);
+        for ch in 0..spec.in_channels {
+            for kz in 0..spec.kt {
+                let plane = (ch * tp + kz) * plane_len;
+                for ky in 0..spec.kh {
+                    taps.extend((0..spec.kw).map(|kx| plane + (kx % sw) * pq + ky * wq + kx / sw));
+                }
+            }
+        }
+        PhaseSplit { data, taps, plane_step: spec.st * plane_len, row_step: spec.sh * wq, oh: g.oh, ow: g.ow }
+    }
+
+    /// Writes column-matrix row `p` (`ot·oh·ow` floats) into `dst`.
+    pub(crate) fn lower_row(&self, p: usize, dst: &mut [f32]) {
+        match self.ow {
+            4 => self.row_runs::<4>(p, dst),
+            8 => self.row_runs::<8>(p, dst),
+            16 => self.row_runs::<16>(p, dst),
+            32 => self.row_runs::<32>(p, dst),
+            _ => self.row_runs::<0>(p, dst),
+        }
+    }
+
+    /// [`PhaseSplit::lower_row`] with the run length `ow` fixed at `L`
+    /// (`L = 0`: read at run time). A run is a few to a few dozen floats,
+    /// and a copy whose length is known only at run time is one `memcpy`
+    /// call per run; at a constant length it compiles to vector moves.
+    #[inline(always)]
+    fn row_runs<const L: usize>(&self, p: usize, dst: &mut [f32]) {
+        let len = if L > 0 { L } else { self.ow };
+        for (oz, plane) in dst.chunks_exact_mut(self.oh * len).enumerate() {
+            let src = &self.data[self.taps[p] + oz * self.plane_step..];
+            for (oy, run) in plane.chunks_exact_mut(len).enumerate() {
+                run.copy_from_slice(&src[oy * self.row_step..][..len]);
+            }
+        }
+    }
+
+    /// Writes columns `[j0, j0 + w)` of every column-matrix row into
+    /// `strip` depth-major — `strip[p·w + jj] = col[p][j0 + jj]`, the
+    /// layout of one packed B strip of the forward GEMM. The strip's `w ≤
+    /// NR2` columns cover pieces of a few output rows' runs; their
+    /// offsets from a tap are found once per strip and reused for every
+    /// row `p`.
+    pub(crate) fn lower_strip(&self, j0: usize, w: usize, strip: &mut [f32]) {
+        let mut runs = [(0usize, 0usize); NR2];
+        let mut count = 0;
+        let mut j = j0;
+        while j < j0 + w {
+            let (r, ox) = (j / self.ow, j % self.ow);
+            let len = (self.ow - ox).min(j0 + w - j);
+            runs[count] = ((r / self.oh) * self.plane_step + (r % self.oh) * self.row_step + ox, len);
+            count += 1;
+            j += len;
+        }
+        let runs = &runs[..count];
+        // Runs of one common length (`ow` divides the strip, or the strip
+        // lies inside one output row) take a constant-length copy, as in
+        // `row_runs`.
+        let len = runs[0].1;
+        match if runs.iter().all(|run| run.1 == len) { len } else { 0 } {
+            4 => self.strip_runs::<4>(runs, w, strip),
+            8 => self.strip_runs::<8>(runs, w, strip),
+            16 => self.strip_runs::<16>(runs, w, strip),
+            32 => self.strip_runs::<32>(runs, w, strip),
+            _ => self.strip_runs::<0>(runs, w, strip),
+        }
+    }
+
+    /// [`PhaseSplit::lower_strip`] over its `(offset, length)` runs, every
+    /// length fixed at `L` (`L = 0`: each run's own).
+    #[inline(always)]
+    fn strip_runs<const L: usize>(&self, runs: &[(usize, usize)], w: usize, strip: &mut [f32]) {
+        for (dst, &tap) in strip.chunks_exact_mut(w).zip(&self.taps) {
+            let src = &self.data[tap..];
+            let mut d = 0;
+            for &(at, len) in runs {
+                let len = if L > 0 { L } else { len };
+                dst[d..d + len].copy_from_slice(&src[at..at + len]);
+                d += len;
             }
         }
     }
 }
 
+impl Drop for PhaseSplit {
+    /// Hands the split's buffer back to the workspace bin.
+    fn drop(&mut self) {
+        workspace::give(std::mem::take(&mut self.data));
+    }
+}
+
 /// Folds row `row` of a column-gradient matrix (`src`, `g.cols` long)
-/// into the `[C, T, H, W]` input gradient `ov`: the adjoint of
-/// [`im2col3d_row`].
+/// into the `[C, T, H, W]` input gradient `ov`: the adjoint of lowering
+/// that row.
 ///
-/// The valid `ox` run is computed once per row, as in the lowering, and
-/// each output row `(oz, oy)` adds its interior to one strided run of a
-/// single input row; padding taps fold nowhere. For a fixed tap,
-/// distinct positions hit distinct input cells, so visiting the rows in
-/// order gives every cell its terms in the per-element fold's order.
+/// The row's channel and tap `(kz, ky, kx)`, and the `ox` range whose
+/// taps land inside the input, are computed once per row; each output
+/// row `(oz, oy)` then adds that interior to one strided run of a single
+/// input row, and padding taps fold nowhere. For a fixed tap, distinct
+/// positions hit distinct input cells, so visiting the rows in order
+/// gives every cell its terms in the per-element fold's order.
 fn col2im3d_row(src: &[f32], spec: &Conv3dSpec, g: &ColGeom, row: usize, ov: &mut [f32]) {
-    // The tap and its run, exactly as `im2col3d_row` derives them.
+    // Invert `row = ((ch·kt + kz)·kh + ky)·kw + kx`.
     let kx = row % spec.kw;
     let rest = row / spec.kw;
     let ky = rest % spec.kh;

@@ -8,12 +8,15 @@
 //! — and a hand-unrolled `8 × NR2` two-accumulator micro-kernel
 //! ([`micro_8w`], with [`micro_8n`] for the narrow final strip) sweeps 8
 //! output rows across the full depth in one register pass. Remainder
-//! rows (fewer than 8 at the bottom) run the 4-row/1-row tail kernels.
-//! [`gemm_im2col3d`] is the convolution forward: it lowers its input row
-//! by row straight into the packed B strips, so the im2col matrix is
-//! never materialized. [`gemm_im2col3d_t`] is the convolution weight
-//! gradient: it lowers the rows into the strips of the *transposed*
-//! matrix, so neither the matrix nor its transpose is built.
+//! rows (fewer than 8 at the bottom) run the 4-row/1-row tail kernels;
+//! [`sweep_strip`] is that row-block dispatch over one strip.
+//! [`gemm_im2col3d`] is the convolution forward: it lowers its input one
+//! B strip at a time from the input's phase split (see `conv.rs`) and
+//! sweeps every row block over the strip before lowering the next, so
+//! neither the im2col matrix nor its packed copy is ever built.
+//! [`gemm_im2col3d_t`] is the convolution weight gradient: it lowers the
+//! strips of the *transposed* matrix the same way, one at a time, so
+//! neither the matrix nor its transpose is built.
 //! [`matmul_into_reference`] is the oracle.
 //!
 //! # Determinism contract
@@ -32,7 +35,7 @@
 //! remainder; the property suite in `tests/kernel_bit_identity.rs`
 //! enforces this contract.
 
-use crate::conv::{im2col3d_row, ColGeom};
+use crate::conv::{ColGeom, PhaseSplit};
 use crate::{Conv3dSpec, Tensor, TensorError};
 
 /// Rows swept together by the 4-row tail kernel.
@@ -42,7 +45,7 @@ const MR: usize = 4;
 const MR8: usize = 8;
 /// Column width of the wide micro-kernel's main tile and of the packed B
 /// strips (two NR-wide accumulator pairs).
-const NR2: usize = 2 * NR;
+pub(crate) const NR2: usize = 2 * NR;
 /// Columns held in the accumulator tile.
 const NR: usize = 16;
 
@@ -77,15 +80,16 @@ fn validate(a: &Tensor, b: &Tensor, out: &Tensor) -> Result<(usize, usize, usize
 // ---------------------------------------------------------------------
 
 /// Process-wide recycling bin for the transient `Vec<f32>` workspaces the
-/// packed GEMM burns through (packed A, packed B and the lowering's row
-/// buffer). Serving workloads issue the same shapes call after call;
-/// without reuse every call maps fresh pages and pays the page-fault tax
-/// again. It is the only state the kernels share across threads: callers
-/// on different threads take and give buffers concurrently. Buffers
-/// handed out by [`take`] carry arbitrary stale contents; every consumer
-/// in this module fully overwrites its workspace (packers write all `len`
-/// elements), so no value ever leaks between calls.
-mod workspace {
+/// packed GEMM burns through (packed A, packed B, a convolution input's
+/// phase split and the lowered strips). Serving workloads issue the same
+/// shapes call after call; without reuse every call maps fresh pages and
+/// pays the page-fault tax again. It is the only state the kernels share
+/// across threads: callers on different threads take and give buffers
+/// concurrently. Buffers handed out by [`take`] carry arbitrary stale
+/// contents; every consumer in this crate fully overwrites its workspace
+/// (packers and the split write all `len` elements, and a strip is
+/// written before it is swept), so no value ever leaks between calls.
+pub(crate) mod workspace {
     use std::sync::Mutex;
 
     /// Max cached buffers and max floats per cached buffer (16 MiB) —
@@ -98,7 +102,7 @@ mod workspace {
 
     /// Returns a buffer of exactly `len` elements with unspecified
     /// contents (best-fitting cached allocation, else fresh).
-    pub(super) fn take(len: usize) -> Vec<f32> {
+    pub(crate) fn take(len: usize) -> Vec<f32> {
         let mut bin = BIN.lock().expect("workspace bin lock");
         // Smallest cached buffer whose capacity already covers `len`;
         // falls back to the largest one (realloc grows it in place-ish)
@@ -129,7 +133,7 @@ mod workspace {
     /// buffers are simply dropped). `PackedA`'s `Drop` calls this, so it
     /// must not panic: a poisoned lock is recovered, which is sound
     /// because every update to the bin is a single push or removal.
-    pub(super) fn give(buf: Vec<f32>) {
+    pub(crate) fn give(buf: Vec<f32>) {
         if buf.capacity() == 0 || buf.capacity() > MAX_FLOATS {
             return;
         }
@@ -218,64 +222,37 @@ fn pack_b_slice(bv: &[f32], k: usize, n: usize) -> PackedB {
     PackedB { data }
 }
 
-/// Packs `im2col3d(input, spec)` as the right GEMM operand without
-/// materializing it: each column-matrix row is lowered into one hot
-/// `n`-float row buffer (the tail of the same workspace buffer) and
-/// scattered into its strips. The strips are exactly what
-/// [`pack_b_slice`] would build from the materialized matrix.
-fn pack_b_im2col3d(input: &Tensor, spec: &Conv3dSpec, g: &ColGeom) -> PackedB {
-    let (k, n) = (g.rows, g.cols);
-    let mut data = workspace::take(k * n + n);
-    let (strips, row) = data.split_at_mut(k * n);
-    let iv = input.as_slice();
-    for p in 0..k {
-        im2col3d_row(iv, spec, g, p, row);
-        scatter_b_rows(strips, k, n, p, row);
-    }
-    PackedB { data }
-}
-
-/// Packs `im2col3d(input, spec)ᵀ` — `[positions × rows]` — as the right
-/// GEMM operand without materializing the matrix or its transpose.
+/// Writes strip `[js, js + w)` of the transposed right operand
+/// `im2col3d(input, spec)ᵀ` — `[positions × rows]` — into `strip` (`k·w`
+/// floats, `k` the position count), in the [`PackedB`] strip layout.
 ///
-/// Column `j` of the operand is column-matrix row `j`, so strip `s`
-/// holds rows `[s·NR2, s·NR2 + w)`, and depth step `p` of the strip is
-/// position `p` of each of those rows, side by side. Strip by strip, up
-/// to [`MR8`] of its rows are lowered at a time into row buffers (the
-/// tail of the same workspace buffer), then interleaved into the strip.
-/// Every row is lowered once, by the forward's run kernel, and the
-/// strips are exactly what [`pack_b_slice`] would build from the
-/// materialized transpose.
-fn pack_bt_im2col3d(input: &Tensor, spec: &Conv3dSpec, g: &ColGeom) -> PackedB {
-    let (k, n) = (g.cols, g.rows);
-    let mut data = workspace::take(k * n + MR8 * k);
-    let (strips, rows) = data.split_at_mut(k * n);
-    let iv = input.as_slice();
-    let mut js = 0;
-    while js < n {
-        let w = NR2.min(n - js);
-        let strip = &mut strips[js * k..(js + w) * k];
-        let mut j0 = 0;
-        while j0 < w {
-            let group = MR8.min(w - j0);
-            let rows = &mut rows[..group * k];
-            for (r, row) in rows.chunks_exact_mut(k).enumerate() {
-                im2col3d_row(iv, spec, g, js + j0 + r, row);
-            }
-            if group == MR8 {
-                interleave_8(rows, strip, w, j0);
-            } else {
-                for (p, dst) in strip.chunks_exact_mut(w).enumerate() {
-                    for (r, d) in dst[j0..j0 + group].iter_mut().enumerate() {
-                        *d = rows[r * k + p];
-                    }
+/// Column `j` of the operand is column-matrix row `j`, so the strip
+/// holds rows `[js, js + w)`, and its depth step `p` is position `p` of
+/// each of those rows, side by side. Up to [`MR8`] of its rows at a time
+/// are lowered from the input's split into row buffers (`rows`, `MR8·k`
+/// floats) and interleaved into the strip, which then holds exactly the
+/// bytes [`pack_b_slice`] would give that strip of the materialized
+/// transpose.
+fn lower_strip_t(split: &PhaseSplit, js: usize, k: usize, strip: &mut [f32], rows: &mut [f32]) {
+    let w = strip.len() / k;
+    let mut j0 = 0;
+    while j0 < w {
+        let group = MR8.min(w - j0);
+        let rows = &mut rows[..group * k];
+        for (r, row) in rows.chunks_exact_mut(k).enumerate() {
+            split.lower_row(js + j0 + r, row);
+        }
+        if group == MR8 {
+            interleave_8(rows, strip, w, j0);
+        } else {
+            for (p, dst) in strip.chunks_exact_mut(w).enumerate() {
+                for (r, d) in dst[j0..j0 + group].iter_mut().enumerate() {
+                    *d = rows[r * k + p];
                 }
             }
-            j0 += group;
         }
-        js += w;
+        j0 += group;
     }
-    PackedB { data }
 }
 
 /// Interleaves 8 equal-length rows into columns `j0..j0 + 8` of `w`-wide
@@ -349,23 +326,30 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<(), Tenso
 }
 
 /// Convolution forward as one GEMM: `out = w · im2col3d(input, spec)`,
-/// with `w` the `[out_c, C·kt·kh·kw]` weight matrix, packed on every
-/// call like [`matmul_into`]'s left operand.
+/// with `w` the weight, whose leading dimension is `out_c` and whose
+/// other dimensions multiply to `C·kt·kh·kw` (the `[out_c, C, kt, kh,
+/// kw]` convolution weight is that matrix row-major, so it needs no
+/// reshape). It is packed on every call like [`matmul_into`]'s left
+/// operand.
 ///
-/// The column matrix is never materialized. Each of its rows is lowered
-/// into one hot row buffer and scattered straight into the packed B
-/// strips the micro-kernels read; that buffer comes from the same
-/// workspace bin as every other packing, so a forward allocates nothing
-/// once the bin is warm. The result is bit-identical to
-/// `matmul_into(w, &im2col3d(input, spec)?, out)`: the strips hold the
-/// same bytes, and the same kernels run over them.
+/// Neither the column matrix nor a packed copy of it is built. The input
+/// is split once into its zero-padded stride phases, then the lowering
+/// runs one 32-column strip at a time: the strip (`k × 32` floats)
+/// is lowered from the split by run copies, every row block of the
+/// packed weight sweeps it, and the next strip reuses its buffer. Split,
+/// strip and packed weight come from the workspace bin, so a forward
+/// allocates no large buffer once the bin is warm. The result is
+/// bit-identical to `matmul_into(w, &im2col3d(input, spec)?, out)`: each
+/// strip holds the bytes `matmul_into` would pack for it, and the same
+/// kernels run over it.
 ///
 /// # Errors
 ///
 /// Returns the lowering's rank/shape/geometry errors,
-/// [`TensorError::RankMismatch`] if `w` is not rank 2, and
-/// [`TensorError::ShapeMismatch`] if `w`'s depth is not the lowering's
-/// row count or `out` is not `[out_c, positions]`.
+/// [`TensorError::RankMismatch`] if `w` has rank below 2, and
+/// [`TensorError::ShapeMismatch`] if `w`'s trailing dimensions do not
+/// multiply to the lowering's row count or `out` is not `[out_c,
+/// positions]`.
 pub fn gemm_im2col3d(
     w: &Tensor,
     input: &Tensor,
@@ -375,29 +359,38 @@ pub fn gemm_im2col3d(
     let g = ColGeom::new(input, spec)?;
     let ops = ["gemm_im2col3d", "gemm_im2col3d(out)"];
     let m = lowered_lhs_rows(w, (g.rows, g.cols), out, ops)?;
-    let pa = PackedA::pack(w.as_slice(), m, g.rows);
-    let pb = pack_b_im2col3d(input, spec, &g);
-    gemm_packed_stripe(&pa.data, m, g.rows, &pb.data, g.cols, out.as_mut_slice());
-    workspace::give(pb.data);
+    let (k, n) = (g.rows, g.cols);
+    let pa = PackedA::pack(w.as_slice(), m, k);
+    let split = PhaseSplit::new(input, spec, &g);
+    let mut buf = workspace::take(k * NR2.min(n));
+    sweep_lowered(&pa.data, (m, k, n), out.as_mut_slice(), &mut buf, |js, w, strip| {
+        split.lower_strip(js, w, strip)
+    });
+    workspace::give(buf);
     Ok(())
 }
 
 /// Convolution weight gradient as one GEMM: `out = a ·
-/// im2col3d(input, spec)ᵀ`, with `a` the `[out_c, positions]` output
-/// gradient and `out` the `[out_c, C·kt·kh·kw]` weight gradient.
+/// im2col3d(input, spec)ᵀ`, with `a` the output gradient (leading
+/// dimension `m`, other dimensions multiplying to the position count:
+/// `[out_c, positions]` or the `[out_c, out_t, out_h, out_w]` gradient
+/// itself) and `out` the `[m, C·kt·kh·kw]` weight gradient.
 ///
-/// Neither the column matrix nor its transpose is materialized: each
-/// column-matrix row is lowered once and interleaved straight into the
-/// packed B strips of the transposed operand, strip by strip, in a
-/// buffer from the workspace bin. The result is bit-identical to
-/// `matmul_into(a, &im2col3d(input, spec)?.transpose()?, out)`: the
-/// strips hold the same bytes, and the same kernels run over them.
+/// Neither the column matrix nor its transpose is materialized: the
+/// input is split once into its zero-padded stride phases, and the
+/// transposed operand is built one 32-column strip at a time, its
+/// column-matrix rows lowered from the split and interleaved into the
+/// strip, which every row block of the packed `a` then sweeps. The
+/// result is bit-identical to `matmul_into(a, &im2col3d(input,
+/// spec)?.transpose()?, out)`: each strip holds the bytes `matmul_into`
+/// would pack for it, and the same kernels run over it.
 ///
 /// # Errors
 ///
-/// Returns the lowering's rank/shape/geometry errors, and
-/// [`TensorError::ShapeMismatch`] if `a` is not `[m, positions]` or
-/// `out` is not `[m, C·kt·kh·kw]`.
+/// Returns the lowering's rank/shape/geometry errors,
+/// [`TensorError::RankMismatch`] if `a` has rank below 2, and
+/// [`TensorError::ShapeMismatch`] if `a`'s trailing dimensions do not
+/// multiply to the position count or `out` is not `[m, C·kt·kh·kw]`.
 pub fn gemm_im2col3d_t(
     a: &Tensor,
     input: &Tensor,
@@ -407,27 +400,57 @@ pub fn gemm_im2col3d_t(
     let g = ColGeom::new(input, spec)?;
     let ops = ["gemm_im2col3d_t", "gemm_im2col3d_t(out)"];
     let m = lowered_lhs_rows(a, (g.cols, g.rows), out, ops)?;
-    let pa = PackedA::pack(a.as_slice(), m, g.cols);
-    let pb = pack_bt_im2col3d(input, spec, &g);
-    gemm_packed_stripe(&pa.data, m, g.cols, &pb.data, g.rows, out.as_mut_slice());
-    workspace::give(pb.data);
+    let (k, n) = (g.cols, g.rows);
+    let pa = PackedA::pack(a.as_slice(), m, k);
+    let split = PhaseSplit::new(input, spec, &g);
+    let strip_len = k * NR2.min(n);
+    let mut buf = workspace::take(strip_len + k * MR8.min(n));
+    let (strip_buf, rows) = buf.split_at_mut(strip_len);
+    sweep_lowered(&pa.data, (m, k, n), out.as_mut_slice(), strip_buf, |js, _, strip| {
+        lower_strip_t(&split, js, k, strip, rows)
+    });
+    workspace::give(buf);
     Ok(())
 }
 
+/// `ov[m × n] = pa · B` for a packed `pa` (`m × k`) and a `k × n` right
+/// operand that is never built whole: `lower(js, w, strip)` writes its
+/// `w`-wide strip at column `js` into the front of `buf`, in the
+/// [`PackedB`] strip layout, and every row block sweeps it before the
+/// next strip is lowered over it.
+fn sweep_lowered(
+    pa: &[f32],
+    (m, k, n): (usize, usize, usize),
+    ov: &mut [f32],
+    buf: &mut [f32],
+    mut lower: impl FnMut(usize, usize, &mut [f32]),
+) {
+    let mut js = 0;
+    while js < n {
+        let w = NR2.min(n - js);
+        let strip = &mut buf[..k * w];
+        lower(js, w, strip);
+        sweep_strip(pa, m, k, strip, w, ov, n, js);
+        js += w;
+    }
+}
+
 /// Checks `a` as the `[m, k]` left operand of a product with a lowered
-/// `[k, n]` right operand and `out` as its `[m, n]` output, returning
-/// `m`. `ops` names the operand check and the output check.
+/// `[k, n]` right operand — its leading dimension `m`, its other
+/// dimensions multiplying to `k`, read row-major — and `out` as its
+/// `[m, n]` output, returning `m`. `ops` names the operand check and the
+/// output check.
 fn lowered_lhs_rows(
     a: &Tensor,
     (k, n): (usize, usize),
     out: &Tensor,
     ops: [&'static str; 2],
 ) -> Result<usize, TensorError> {
-    if a.rank() != 2 {
+    if a.rank() < 2 {
         return Err(TensorError::RankMismatch { expected: 2, actual: a.rank(), op: ops[0] });
     }
     let m = a.dims()[0];
-    if a.dims()[1] != k {
+    if a.dims()[1..].iter().product::<usize>() != k {
         let lhs = a.dims().to_vec();
         return Err(TensorError::ShapeMismatch { lhs, rhs: vec![k, n], op: ops[0] });
     }
@@ -488,42 +511,56 @@ pub(crate) fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 // ---------------------------------------------------------------------
 
 /// Packed-operand GEMM: `ov[rows × n] = pa[rows × k] · pb[k × n]`, with
-/// `pa` a [`PackedA`] buffer and `pb` a strip-packed [`PackedB`] buffer.
-///
-/// Strips outer, row blocks inner: the strip under work stays warm while
-/// the A blocks stream past it once per strip. Each full 8-row block
-/// sweeps the *entire depth* against the strip ([`micro_8w`]/
-/// [`micro_8n`]), and the tail rows below the last full block follow
-/// ([`micro_4`]/[`micro_1`] over the row-major tail of the packing; see
-/// [`PackedA`]). Every kernel accumulates in registers from `0.0` and
-/// stores each output element exactly once, so `ov` needs no pre-fill
-/// and its stale contents never leak.
+/// `pa` a [`PackedA`] buffer and `pb` a strip-packed [`PackedB`] buffer:
+/// [`sweep_strip`] once per strip, in order.
 fn gemm_packed_stripe(pa: &[f32], rows: usize, k: usize, pb: &[f32], n: usize, ov: &mut [f32]) {
-    let mut cursor = 0;
     let mut js = 0;
     while js < n {
         let w = NR2.min(n - js);
-        let strip = &pb[cursor..cursor + k * w];
-        cursor += k * w;
-        let mut i = 0;
-        while i + MR8 <= rows {
-            let ablock = &pa[i * k..(i + MR8) * k];
-            if w == NR2 {
-                micro_8w(ablock, strip, ov, n, i, js);
-            } else {
-                micro_8n(ablock, strip, k, w, ov, n, i, js);
-            }
-            i += MR8;
-        }
-        while i + MR <= rows {
-            micro_4(pa, strip, k, w, ov, n, i, js);
-            i += MR;
-        }
-        while i < rows {
-            micro_1(pa, strip, k, w, ov, n, i, js);
-            i += 1;
-        }
+        sweep_strip(pa, rows, k, &pb[js * k..(js + w) * k], w, ov, n, js);
         js += w;
+    }
+}
+
+/// Sweeps every row block of a packed A (`pa`, `rows × k`) over one
+/// packed B strip (`strip`, `k × w`, covering output columns `[js, js +
+/// w)` of the `n`-wide output `ov`).
+///
+/// Row blocks inner: the strip under work stays warm while the A blocks
+/// stream past it. Each full 8-row block sweeps the *entire depth*
+/// against the strip ([`micro_8w`]/[`micro_8n`]), and the tail rows below
+/// the last full block follow ([`micro_4`]/[`micro_1`] over the row-major
+/// tail of the packing; see [`PackedA`]). Every kernel accumulates in
+/// registers from `0.0` and stores each output element exactly once, so
+/// `ov` needs no pre-fill and its stale contents never leak.
+#[allow(clippy::too_many_arguments)]
+fn sweep_strip(
+    pa: &[f32],
+    rows: usize,
+    k: usize,
+    strip: &[f32],
+    w: usize,
+    ov: &mut [f32],
+    n: usize,
+    js: usize,
+) {
+    let mut i = 0;
+    while i + MR8 <= rows {
+        let ablock = &pa[i * k..(i + MR8) * k];
+        if w == NR2 {
+            micro_8w(ablock, strip, ov, n, i, js);
+        } else {
+            micro_8n(ablock, strip, k, w, ov, n, i, js);
+        }
+        i += MR8;
+    }
+    while i + MR <= rows {
+        micro_4(pa, strip, k, w, ov, n, i, js);
+        i += MR;
+    }
+    while i < rows {
+        micro_1(pa, strip, k, w, ov, n, i, js);
+        i += 1;
     }
 }
 
@@ -871,15 +908,28 @@ mod tests {
 
     #[test]
     fn im2col3d_packing_equals_packing_the_column_matrix() {
-        // Strided and padded; n = 63 is one full strip and a 31-wide tail.
+        // Strided and padded, at unit and stride-2 width. n = 63 (ow = 7)
+        // is one full strip and a 31-wide tail; n = 45 (ow = 5) is one
+        // full strip and a 13-wide tail, with runs split across strips.
         let mut rng = Rng64::new(24);
-        let spec = Conv3dSpec::cubic(2, 3, (2, 2, 1), 1);
-        let x = Tensor::randn(&[2, 5, 5, 7], 1.0, rng.as_rng());
-        let g = ColGeom::new(&x, &spec).unwrap();
-        let cols = crate::im2col3d(&x, &spec).unwrap();
-        let want = pack_b_slice(cols.as_slice(), g.rows, g.cols);
-        let got = pack_b_im2col3d(&x, &spec, &g);
-        assert_eq!(&got.data[..g.rows * g.cols], want.data.as_slice());
+        for (spec, dims) in [
+            (Conv3dSpec::cubic(2, 3, (2, 2, 1), 1), [2, 5, 5, 7]),
+            (Conv3dSpec::cubic(2, 3, (1, 2, 2), 1), [2, 3, 6, 9]),
+        ] {
+            let x = Tensor::randn(&dims, 1.0, rng.as_rng());
+            let g = ColGeom::new(&x, &spec).unwrap();
+            let cols = crate::im2col3d(&x, &spec).unwrap();
+            let want = pack_b_slice(cols.as_slice(), g.rows, g.cols);
+            let split = PhaseSplit::new(&x, &spec, &g);
+            let mut got = vec![f32::NAN; g.rows * g.cols];
+            let mut js = 0;
+            while js < g.cols {
+                let w = NR2.min(g.cols - js);
+                split.lower_strip(js, w, &mut got[js * g.rows..(js + w) * g.rows]);
+                js += w;
+            }
+            assert_eq!(got, &want.data[..], "{spec:?}");
+        }
     }
 
     #[test]
@@ -892,8 +942,17 @@ mod tests {
         let g = ColGeom::new(&x, &spec).unwrap();
         let cols_t = crate::im2col3d(&x, &spec).unwrap().transpose().unwrap();
         let want = pack_b_slice(cols_t.as_slice(), g.cols, g.rows);
-        let got = pack_bt_im2col3d(&x, &spec, &g);
-        assert_eq!(&got.data[..g.rows * g.cols], want.data.as_slice());
+        let split = PhaseSplit::new(&x, &spec, &g);
+        let (k, n) = (g.cols, g.rows);
+        let mut got = vec![f32::NAN; k * n];
+        let mut rows = vec![f32::NAN; MR8 * k];
+        let mut js = 0;
+        while js < n {
+            let w = NR2.min(n - js);
+            lower_strip_t(&split, js, k, &mut got[js * k..(js + w) * k], &mut rows);
+            js += w;
+        }
+        assert_eq!(got, &want.data[..]);
     }
 
     #[test]
@@ -922,6 +981,11 @@ mod tests {
         assert!(gemm_im2col3d(&w, &x, &spec, &mut bad_out).is_err());
         assert!(gemm_im2col3d(&Tensor::zeros(&[6]), &x, &spec, &mut out).is_err(), "weight rank");
         assert!(gemm_im2col3d(&w, &x, &spec, &mut out).is_ok());
+        // A convolution weight's trailing dimensions multiply to the
+        // depth, and it needs no reshape; ones that do not are refused.
+        assert!(gemm_im2col3d(&Tensor::zeros(&[2, 3, 1, 1, 1]), &x, &spec, &mut out).is_ok());
+        let bad_w = Tensor::zeros(&[2, 2, 1, 2, 1]);
+        assert!(gemm_im2col3d(&bad_w, &x, &spec, &mut out).is_err(), "trailing dims");
     }
 
     #[test]

@@ -137,20 +137,20 @@ impl Video {
 
     /// Converts to the channel-first `[C, T, H, W]` layout models consume,
     /// scaled to roughly unit range (divided by 255).
+    ///
+    /// Each channel plane is written in one pass, reading that channel
+    /// from every pixel: sequential writes, where writing the channels
+    /// of one pixel at a time scatters them across three planes.
     pub fn to_model_input(&self) -> Tensor {
         let (n, h, w, c) =
             (self.spec.frames, self.spec.height, self.spec.width, self.spec.channels);
         let mut out = Tensor::zeros(&[c, n, h, w]);
         let iv = self.data.as_slice();
-        let ov = out.as_mut_slice();
-        for f in 0..n {
-            for y in 0..h {
-                for x in 0..w {
-                    let base = ((f * h + y) * w + x) * c;
-                    for ch in 0..c {
-                        ov[((ch * n + f) * h + y) * w + x] = iv[base + ch] / 255.0;
-                    }
-                }
+        let plane = n * h * w;
+        for ch in 0..c {
+            let dst = &mut out.as_mut_slice()[ch * plane..(ch + 1) * plane];
+            for (o, px) in dst.iter_mut().zip(iv.chunks_exact(c)) {
+                *o = px[ch] / 255.0;
             }
         }
         out
@@ -234,6 +234,40 @@ mod tests {
         v.set_pixel(0, 0, 0, 0, 10.6).unwrap();
         v.quantize();
         assert_eq!(v.pixel(0, 0, 0, 0).unwrap(), 11.0);
+    }
+
+    /// The per-pixel layout conversion `to_model_input` replaced: the
+    /// channels of one pixel at a time. Kept as the oracle its plane
+    /// pass must match bit for bit.
+    fn model_input_oracle(v: &Video) -> Tensor {
+        let (n, h, w, c) = (v.spec.frames, v.spec.height, v.spec.width, v.spec.channels);
+        let mut out = Tensor::zeros(&[c, n, h, w]);
+        let iv = v.data.as_slice();
+        let ov = out.as_mut_slice();
+        for f in 0..n {
+            for y in 0..h {
+                for x in 0..w {
+                    let base = ((f * h + y) * w + x) * c;
+                    for ch in 0..c {
+                        ov[((ch * n + f) * h + y) * w + x] = iv[base + ch] / 255.0;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn model_input_is_bitwise_the_per_pixel_oracle() {
+        let mut rng = Rng64::new(83);
+        let one_channel = ClipSpec { channels: 1, ..ClipSpec::tiny() };
+        for spec in [ClipSpec::tiny(), ClipSpec::experiment(), one_channel] {
+            let dims = [spec.frames, spec.height, spec.width, spec.channels];
+            let mut v = Video::from_tensor(spec, Tensor::rand_uniform(&dims, -10.0, 300.0, rng.as_rng())).unwrap();
+            v.tensor_mut().as_mut_slice()[..4].copy_from_slice(&[-0.0, f32::NAN, f32::INFINITY, 1e-40]);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&v.to_model_input()), bits(&model_input_oracle(&v)), "{spec:?}");
+        }
     }
 
     #[test]

@@ -23,13 +23,18 @@ cargo test -q --release --offline -p duo-retrieval --lib
 # runs.
 cargo test -q --release --offline --test index_properties
 # The same for the kernels every backbone forward and backward runs: the
-# convolution lowering's and fold's run kernels and the packing straight
-# into GEMM strips, forward and transposed (duo-tensor), the lane Linear
-# (duo-nn), the one-sided backward passes against the full one for every
-# architecture (duo-models), the surrogate steal against its reference
-# loop (duo-attack), and the GEMM/convolution bit-identity suite.
-cargo test -q --release --offline -p duo-tensor -p duo-nn -p duo-models -p duo-attack --lib
+# convolution input's phase split, the lowering from it one GEMM strip at
+# a time, forward and transposed, and the fold's run kernel (duo-tensor),
+# the lane Linear (duo-nn), the one-sided backward passes against the
+# full one for every architecture (duo-models), the surrogate steal
+# against its reference loop (duo-attack), the clip-to-model layout
+# conversion against its per-pixel oracle (duo-video), the admission
+# sketch (duo-defenses), and the GEMM/convolution bit-identity suite.
+cargo test -q --release --offline -p duo-tensor -p duo-nn -p duo-models -p duo-attack -p duo-defenses -p duo-video --lib
 cargo test -q --release --offline --test kernel_bit_identity
+# The exact clip sketch's lane sums vectorize at opt-level 3, so its
+# property against the serial pass runs at the release profile too.
+cargo test -q --release --offline --test defense_stream_properties
 
 # End-to-end benchmark: a package of its own (e2e_bench/, outside the
 # workspace) that drives the crates through their public APIs. Building

@@ -11,6 +11,10 @@
 //! 3. **Monotonicity.** Shrinking every perturbation step toward the
 //!    base clip (a strictly more self-similar query sequence) never
 //!    lowers the per-step self-similarity score.
+//! 4. **Exact sketch.** The lane-summed sketch of a quantized clip equals
+//!    the serial reference pass bit for bit, and the clips it cannot
+//!    prove exact (a non-integral or NaN pixel, a total at or past 2^24)
+//!    take the serial pass.
 //!
 //! This suite persists failing case seeds to
 //! `tests/defense_stream_properties.regressions` (see [`duo_check`]);
@@ -258,4 +262,76 @@ check! {
             );
         }
     }
+}
+
+fn sketch_bits(s: &ClipSketch) -> Vec<u32> {
+    s.cells.iter().chain([&s.energy]).map(|v| v.to_bits()).collect()
+}
+
+/// A seeded clip of kind `kind`: a perturbed, quantized synthetic clip at
+/// the experiment or tiny geometry, all 0 or all 255, a quantized clip
+/// with −0.0 pixels; then (kinds 5 and 6) one that is not provably exact,
+/// with a non-integral or a NaN pixel.
+fn sketch_case(kind: u32, seed: u64) -> Video {
+    let spec = if kind == 1 { ClipSpec::tiny() } else { ClipSpec::experiment() };
+    let mut rng = Rng64::new(seed);
+    let mut v = match kind {
+        2 => Video::zeros(spec),
+        3 => Video::from_tensor(spec, Tensor::full(&[spec.frames, spec.height, spec.width, spec.channels], 255.0)).unwrap(),
+        _ => perturbed(&SyntheticVideoGenerator::new(spec, seed).generate((seed % 6) as u32, 0), &mut rng, 300, 40.0),
+    };
+    v.quantize();
+    let px = v.tensor_mut().as_mut_slice();
+    let at = (rng.next_u64() % px.len() as u64) as usize;
+    match kind {
+        2 | 4 => {
+            for _ in 0..64 {
+                let i = (rng.next_u64() % px.len() as u64) as usize;
+                px[i] = -0.0;
+            }
+        }
+        5 => px[at] += 0.5,
+        6 => px[at] = f32::NAN,
+        _ => {}
+    }
+    v
+}
+
+check! {
+    #![config(Config::default().with_cases(48).with_regressions(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/defense_stream_properties.regressions"
+    )))]
+
+    /// `ClipSketch::of` is the serial pass's bits on every clip; on a
+    /// quantized clip it takes the lane-summed exact path, and on a clip
+    /// with a non-integral or NaN pixel the serial one.
+    fn exact_sketch_is_bitwise_the_serial_pass(kind in 0u32..7, seed in 0u64..1_000_000) {
+        let clip = sketch_case(kind, seed);
+        let serial = sketch_bits(&ClipSketch::serial(&clip));
+        prop_assert_eq!(sketch_bits(&ClipSketch::of(&clip)), serial.clone(), "kind {kind}");
+        match ClipSketch::exact(&clip) {
+            Some(exact) => {
+                prop_assert!(kind < 5, "kind {kind} took the exact path");
+                prop_assert_eq!(sketch_bits(&exact), serial, "kind {kind}");
+            }
+            None => prop_assert!(kind >= 5, "kind {kind} fell back to the serial pass"),
+        }
+    }
+}
+
+/// A paper-size clip (16 × 112 × 112) whose columns alternate 0 and 255:
+/// integral, but its energy total (≈ 1.5 × 10^8) is past 2^24, so the
+/// lane sums could round differently and the serial pass runs.
+#[test]
+fn sketch_totals_past_two_to_the_24_take_the_serial_pass() {
+    let spec = ClipSpec::paper();
+    let mut v = Video::zeros(spec);
+    for (i, px) in v.tensor_mut().as_mut_slice().iter_mut().enumerate() {
+        if (i / spec.channels) % 2 == 1 {
+            *px = 255.0;
+        }
+    }
+    assert!(ClipSketch::exact(&v).is_none());
+    assert_eq!(sketch_bits(&ClipSketch::of(&v)), sketch_bits(&ClipSketch::serial(&v)));
 }

@@ -9,14 +9,16 @@
 //!
 //! Every 8-row block remainder class must survive the packed kernel's
 //! full-depth store schedule. The convolution forward lowers its
-//! input straight into the packed B strips; over strides, pads, kernel
+//! input one packed B strip at a time; over strides, pads, kernel
 //! extents and output widths it must equal the oracle against the
 //! materialized `im2col3d` matrix. The convolution weight gradient
 //! lowers the same rows into the strips of the transposed operand; over
 //! random geometries, with tap counts on both sides of one and two
 //! 32-column strips, it must equal the oracle against the materialized,
-//! transposed matrix. Callers on several threads at once share only the
-//! workspace bin, and must still land on the oracle's bits.
+//! transposed matrix. Both run at every convolution geometry the six
+//! backbones build, at the tiny and experiment clip sizes. Callers on
+//! several threads at once share only the workspace bin, and must still
+//! land on the oracle's bits.
 //!
 //! Failing case seeds persist to `tests/properties.regressions` and
 //! replay before fresh generation (asserted at the bottom of this file).
@@ -173,7 +175,7 @@ check! {
         // Oracle conv3d: the materialized lowering, reference GEMM.
         let want = reference(&weight, &im2col3d(&input, &spec).unwrap());
 
-        // Inference conv3d: the lowering packed straight into B strips.
+        // Inference conv3d: the input lowered one packed B strip at a time.
         let mut out = Tensor::full(&[oc, cols], f32::NAN);
         gemm_im2col3d(&weight, &input, &spec, &mut out).unwrap();
         prop_assert_eq!(
@@ -181,6 +183,81 @@ check! {
             bits(&out),
             "conv3d [{chans},{t},{h},{w}] k{kern} oc{oc} drifted"
         );
+    }
+}
+
+/// The per-frame (`kt = 1`) convolution the ResNet backbones build:
+/// spatial stride `s`, padding `k / 2`.
+fn per_frame(c: usize, k: usize, s: usize) -> Conv3dSpec {
+    Conv3dSpec { in_channels: c, kt: 1, kh: k, kw: k, st: 1, sh: s, sw: s, pt: 0, ph: k / 2, pw: k / 2 }
+}
+
+/// `(spec, input [C, T, H, W], out_c)` of every `Conv3d` the six
+/// backbones build for a `t × h × w` clip at base width `w0`
+/// (`duo-models`' `Backbone::new`): C3D, I3D after its spatial max pool,
+/// TPN's shared trunk and its `kt = 2`, `pt = 0` branch at temporal
+/// rates 1, 2 and 4, SlowFast's slow pathway (every 4th frame) and fast
+/// pathway, and ResNet's `kt = 1` stem, blocks, projection and 1×1
+/// stride-2 shortcut.
+fn backbone_convs(t: usize, h: usize, w: usize, w0: usize) -> Vec<(Conv3dSpec, [usize; 4], usize)> {
+    let tpn_branch = Conv3dSpec { in_channels: 2 * w0, kt: 2, kh: 3, kw: 3, st: 1, sh: 1, sw: 1, pt: 0, ph: 1, pw: 1 };
+    vec![
+        // C3D (its first layer is also I3D's, TPN's and the fast pathway's).
+        (Conv3dSpec::cubic(3, 3, (1, 2, 2), 1), [3, t, h, w], w0),
+        (Conv3dSpec::cubic(w0, 3, (2, 2, 2), 1), [w0, t, h / 2, w / 2], 2 * w0),
+        (Conv3dSpec::cubic(2 * w0, 3, (2, 2, 2), 1), [2 * w0, t / 2, h / 4, w / 4], 4 * w0),
+        // I3D.
+        (Conv3dSpec::cubic(w0, 3, (1, 1, 1), 1), [w0, t, h / 4, w / 4], 2 * w0),
+        (Conv3dSpec::cubic(2 * w0, 3, (1, 1, 1), 1), [2 * w0, t, h / 4, w / 4], 2 * w0),
+        (Conv3dSpec::cubic(2 * w0, 3, (2, 2, 2), 1), [2 * w0, t, h / 4, w / 4], 4 * w0),
+        // TPN.
+        (Conv3dSpec::cubic(w0, 3, (1, 2, 2), 1), [w0, t, h / 2, w / 2], 2 * w0),
+        (tpn_branch, [2 * w0, t, h / 4, w / 4], w0),
+        (tpn_branch, [2 * w0, t / 2, h / 4, w / 4], w0),
+        (tpn_branch, [2 * w0, t / 4, h / 4, w / 4], w0),
+        // SlowFast.
+        (Conv3dSpec::cubic(3, 3, (1, 2, 2), 1), [3, t / 4, h, w], 2 * w0),
+        (Conv3dSpec::cubic(2 * w0, 3, (1, 2, 2), 1), [2 * w0, t / 4, h / 2, w / 2], 4 * w0),
+        (Conv3dSpec::cubic(w0, 3, (2, 2, 2), 1), [w0, t, h / 2, w / 2], w0),
+        // ResNet-18/34.
+        (per_frame(3, 3, 2), [3, t, h, w], w0),
+        (per_frame(w0, 3, 1), [w0, t, h / 2, w / 2], w0),
+        (per_frame(w0, 3, 2), [w0, t, h / 2, w / 2], 2 * w0),
+        (per_frame(2 * w0, 3, 1), [2 * w0, t, h / 4, w / 4], 2 * w0),
+        (per_frame(w0, 1, 2), [w0, t, h / 2, w / 2], 2 * w0),
+    ]
+}
+
+/// Every convolution geometry the six backbones build at
+/// `ClipSpec::tiny()` (8 × 16 × 16, width 4) and
+/// `ClipSpec::experiment()` (16 × 32 × 32, width 8), plus output widths
+/// 1, 3, 4, 8, 16, 31 and 33 at unit and stride-2 width, so that runs end
+/// inside a 32-column strip, cross into the next one, and are wider than
+/// one: the forward and the weight gradient must equal the oracle
+/// against the materialized lowering bit for bit.
+#[test]
+fn backbone_convolutions_are_bitwise_the_materialized_lowering() {
+    let mut shapes = backbone_convs(8, 16, 16, 4);
+    shapes.extend(backbone_convs(16, 32, 32, 8));
+    for ow in [1, 3, 4, 8, 16, 31, 33] {
+        shapes.push((Conv3dSpec::cubic(2, 3, (1, 1, 1), 1), [2, 2, 3, ow], 5));
+        shapes.push((Conv3dSpec::cubic(2, 3, (1, 2, 2), 1), [2, 2, 4, 2 * ow], 9));
+    }
+    let mut rng = Rng64::new(0xc0_5ba5e);
+    for (spec, dims, oc) in shapes {
+        let input = Tensor::randn(&dims, 1.0, rng.as_rng());
+        let cols = im2col3d(&input, &spec).unwrap();
+        let (k, n) = (cols.dims()[0], cols.dims()[1]);
+        let weight = Tensor::randn(&[oc, k], 1.0, rng.as_rng());
+        let mut fused = Tensor::full(&[oc, n], f32::NAN);
+        gemm_im2col3d(&weight, &input, &spec, &mut fused).unwrap();
+        assert_eq!(bits(&reference(&weight, &cols)), bits(&fused), "forward {dims:?} oc{oc} {spec:?}");
+
+        let g = Tensor::randn(&[oc, n], 1.0, rng.as_rng());
+        let mut lowered = Tensor::full(&[oc, k], f32::NAN);
+        gemm_im2col3d_t(&g, &input, &spec, &mut lowered).unwrap();
+        let want = reference(&g, &cols.transpose().unwrap());
+        assert_eq!(bits(&want), bits(&lowered), "weight gradient {dims:?} oc{oc} {spec:?}");
     }
 }
 
